@@ -7,41 +7,45 @@ and iterates them jointly: one vectorised MOSFET kernel call, one batched
 ``numpy.linalg.solve`` and one scatter per Newton *tick* replace N Python
 device loops and N separate solves.
 
-Parity is by construction, not by tolerance.  Every array expression below
-is the element-wise twin of the scalar solver it shadows
-(:func:`repro.circuit.dc._newton_solve`, :func:`repro.circuit.dc.dc_sweep`,
-:meth:`repro.circuit.transient.TransientSolver.run`): same operations, same
-order, same numpy ufuncs.  The decisive primitives were verified bitwise on
-the batched shapes — ``np.linalg.solve`` over a stacked batch equals the
-per-item solve, batched matmul equals the per-item matvec, and
-``np.bincount`` accumulates equal indices sequentially in emission order,
-reproducing the scalar ``+=`` sequence.  A lane therefore follows exactly
-the iterate trajectory the scalar oracle would, converges on the same tick
-with the same iteration count, and lands on the same bits.
+One control flow, two servicers.  Every analysis is written once, as a
+lane generator: the DC rescue ladder and sweep continuation in
+:mod:`repro.circuit.dc` (:func:`~repro.circuit.dc._gen_operating_point`,
+:func:`~repro.circuit.dc._gen_dc_sweep`) and the transient time loop in
+:mod:`repro.circuit.transient` (:func:`~repro.circuit.transient._transient_lane`).
+The scalar entry points (``dc_operating_point``, ``dc_sweep``,
+``TransientSolver.run``) drive one lane and answer its requests with the
+reference numerics — :func:`~repro.circuit.dc._newton_solve` for a DC
+Newton target, :meth:`~repro.circuit.mna.MNAAssembler.nonlinear_stamp`
+for a transient stamp.  The two engines here drive many lanes and answer
+their requests jointly, so the tiers differ only in those two servicers.
 
-Control flow is per lane, iterations are shared.  Each DC lane runs a
-*generator* that mirrors the scalar control flow — including the full
-rescue ladder (gmin stepping, source stepping, pseudo-transient
-continuation) — statement for statement, yielding one Newton target
-``(assembler, b, x0)`` wherever the scalar code would call
-``_newton_solve`` and receiving the converged (or failed) iterate back.
-The group engine advances every active lane's current target by one
-Newton iteration per tick, so a lane deep inside a fold rescue iterates
-in the same vectorised tick as a lane cruising along its sweep — nothing
-serialises.  Robustness state stays per lane: converged lanes freeze,
-damping and step limiting are per-lane arrays, and the gmin variants a
-rescue needs are cheap :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin`
-clones.  Lanes above the dense-solver size threshold (and lanes under an
-active rescue escalation) run the scalar path outright, counted in
+Parity of the servicers is by construction, not by tolerance.  Every
+array expression below is the element-wise twin of the scalar Newton
+iteration and stamp: same operations, same order, same numpy ufuncs.  The
+decisive primitives were verified bitwise on the batched shapes —
+``np.linalg.solve`` over a stacked batch equals the per-item solve,
+batched matmul equals the per-item matvec, and ``np.bincount``
+accumulates equal indices sequentially in emission order, reproducing the
+scalar ``+=`` sequence.  A lane therefore follows exactly the iterate
+trajectory of the one-lane driver, converges on the same tick with the
+same iteration count, and lands on the same bits.
+
+DC lanes: the group engine advances every active lane's current Newton
+target by one iteration per tick, so a lane deep inside a fold rescue
+iterates in the same vectorised tick as a lane cruising along its sweep —
+nothing serialises.  Robustness state stays per lane: converged lanes
+freeze, damping and step limiting are per-lane arrays, and the gmin
+variants a rescue needs are cheap
+:meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` clones.  Lanes
+above the dense-solver size threshold (and lanes under an active rescue
+escalation) take the one-lane driver, counted in
 ``SolverStats.scalar_fallbacks``.
 
-Transient lanes are driven differently: the adaptive step controller makes
-time points lane-specific, so each lane runs a generator that mirrors the
-scalar solver's control flow statement-for-statement and *yields* at every
-device-stamp evaluation.  The driver gathers all pending evaluations into
-one kernel call per tick and keeps the linear solves on each lane's own
-:class:`~repro.circuit.mna.CachedFactorSolver` — heterogeneous topologies
-batch fine because only the element-wise kernel is shared.
+Transient lanes: the adaptive step controller makes time points
+lane-specific, so the driver gathers every lane's pending stamp request
+into one kernel call per tick and keeps the linear solves on each lane's
+own :class:`~repro.circuit.mna.CachedFactorSolver` — heterogeneous
+topologies batch fine because only the element-wise kernel is shared.
 """
 
 from __future__ import annotations
@@ -62,13 +66,21 @@ from typing import (
 
 import numpy as np
 
-from ..obs.convergence import lane_group_label, record_convergence, record_rescue
+from ..obs.convergence import (
+    lane_group_label,
+    record_convergence,
+    record_step_rejections,
+)
 from .dc import (
     ConvergenceError,
     DCResult,
     DCSweepResult,
     NewtonOptions,
-    _source_vector_with_overrides,
+    NewtonResult,
+    NewtonTarget,
+    _AssemblerCache,
+    _gen_dc_sweep,
+    _gen_operating_point,
     dc_operating_point,
     dc_sweep,
     rescue_level,
@@ -76,7 +88,7 @@ from .dc import (
 from .mna import MNAAssembler, NonlinearStamp, solver_stats
 from .mosfet import DeviceParams, batch_operating_points
 from .netlist import Circuit
-from .transient import StopCondition, TransientSolver
+from .transient import StopCondition, TransientSolver, _transient_lane
 from .waveform import TransientResult
 
 #: A lane outcome: the analysis result, or the exception that lane raised.
@@ -121,329 +133,7 @@ class TransientLaneSpec:
     stop_condition: Optional[StopCondition] = None
 
 
-# -- DC lane generators -----------------------------------------------------------------
-#
-# Statement-for-statement mirrors of the scalar functions in dc.py, with
-# every _newton_solve call replaced by ``yield (assembler, b, x0)`` and the
-# thread-local singular flag replaced by per-generator accumulation (the
-# engine reports per-target singular events in the result tuple).  Keep
-# them in sync with dc.py: any change to the scalar ladder must be
-# mirrored here, or batched DC analyses lose bit-parity with the scalar
-# oracle.
-
-_TargetRequest = Tuple[MNAAssembler, np.ndarray, np.ndarray]
-#: (x, iterations, converged, max_residual, saw_singular)
-_TargetResult = Tuple[np.ndarray, int, bool, float, bool]
-_DCGen = Generator[_TargetRequest, _TargetResult, Union[DCResult, DCSweepResult]]
-
-
-class _AssemblerCache:
-    """Per-circuit cache of gmin variants of one base assembler.
-
-    The rescue ladders revisit a handful of gmin values; each variant is
-    a :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` of the base
-    (bitwise identical to, and ~15x cheaper than, a fresh construction),
-    built once and memoised together with its dense backend.
-    """
-
-    def __init__(self, base: MNAAssembler) -> None:
-        self.base = base
-        self._variants: Dict[float, MNAAssembler] = {base.gmin_s: base}
-
-    def get(self, gmin_s: float) -> MNAAssembler:
-        variant = self._variants.get(gmin_s)
-        if variant is None:
-            variant = self.base.clone_with_gmin(gmin_s)
-            self._variants[gmin_s] = variant
-        return variant
-
-
-def _gen_source_stepping(
-    cache: _AssemblerCache,
-    b_full: np.ndarray,
-    options: NewtonOptions,
-    gmin_s: float,
-) -> Generator[
-    _TargetRequest,
-    _TargetResult,
-    Tuple[Optional[np.ndarray], int, float, MNAAssembler, bool],
-]:
-    """Generator mirror of :func:`~repro.circuit.dc._source_stepping`."""
-    assembler = cache.get(gmin_s)
-    current = np.zeros(assembler.size)
-    total_iterations = 0
-    max_residual = float("inf")
-    saw_singular = False
-    alpha = 0.0
-    step = 0.1
-    min_step = 1.0 / 1024.0
-    while alpha < 1.0:
-        attempt = min(1.0, alpha + step)
-        candidate, iterations, converged, max_residual, singular = yield (
-            assembler,
-            attempt * b_full,
-            current,
-        )
-        saw_singular |= singular
-        total_iterations += iterations
-        if converged:
-            current = candidate
-            alpha = attempt
-            step = min(step * 2.0, 0.1)
-            continue
-        step /= 2.0
-        if step < min_step:
-            return None, total_iterations, max_residual, assembler, saw_singular
-    return current, total_iterations, max_residual, assembler, saw_singular
-
-
-def _gen_pseudo_transient(
-    cache: _AssemblerCache,
-    b_full: np.ndarray,
-    x0: np.ndarray,
-    options: NewtonOptions,
-    gmin_s: float,
-) -> Generator[
-    _TargetRequest,
-    _TargetResult,
-    Tuple[Optional[np.ndarray], int, float, MNAAssembler, bool],
-]:
-    """Generator mirror of :func:`~repro.circuit.dc._pseudo_transient`."""
-    x = x0.copy()
-    total_iterations = 0
-    max_residual = float("inf")
-    saw_singular = False
-    g_pt = 1e-2
-    for _outer in range(200):
-        assembler = cache.get(gmin_s + g_pt)
-        b_pt = b_full.copy()
-        b_pt[: assembler.n_nodes] += g_pt * x[: assembler.n_nodes]
-        solution, iterations, converged, _residual, singular = yield (
-            assembler,
-            b_pt,
-            x,
-        )
-        saw_singular |= singular
-        total_iterations += iterations
-        if not converged:
-            g_pt *= 10.0
-            if g_pt > 1e4:
-                return None, total_iterations, max_residual, assembler, saw_singular
-            continue
-        x = solution
-        g_pt *= 0.1
-        if g_pt < 1e-12:
-            assembler = cache.get(gmin_s)
-            solution, iterations, converged, max_residual, singular = yield (
-                assembler,
-                b_full,
-                x,
-            )
-            saw_singular |= singular
-            total_iterations += iterations
-            if converged:
-                return solution, total_iterations, max_residual, assembler, saw_singular
-            g_pt = 1e-4
-    return None, total_iterations, max_residual, assembler, saw_singular
-
-
-def _gen_operating_point(
-    cache: _AssemblerCache,
-    initial_voltages: Optional[Dict[str, float]],
-    options: NewtonOptions,
-    gmin_s: float,
-    source_overrides: Optional[Mapping[str, float]],
-) -> _DCGen:
-    """Generator mirror of :func:`~repro.circuit.dc.dc_operating_point`.
-
-    Covers escalation level 0 only — the batch entry points route lanes
-    under an active :func:`~repro.circuit.dc.solver_rescue` to the scalar
-    path outright.
-    """
-    saw_singular = False
-    max_residual = float("inf")
-    for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
-        if gmin_attempt != gmin_s:
-            record_rescue("batch_dc", "gmin_step")
-        assembler = cache.get(gmin_attempt)
-        b = _source_vector_with_overrides(assembler, source_overrides)
-        # (dc_operating_point re-zeroes the branch entries of x0 here;
-        # initial_solution already leaves them zero.)
-        x0 = assembler.initial_solution(initial_voltages)
-        solution, iterations, converged, max_residual, singular = yield (
-            assembler,
-            b,
-            x0,
-        )
-        saw_singular |= singular
-        if converged and gmin_attempt == gmin_s:
-            return DCResult(
-                voltages=assembler.solution_to_dict(solution),
-                iterations=iterations,
-                converged=True,
-                max_residual_a=max_residual,
-            )
-        if converged:
-            # Found a solution at elevated gmin: walk gmin back down using
-            # the converged solution as the new starting point.
-            current = solution
-            for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
-                step_assembler = cache.get(step_gmin)
-                b = _source_vector_with_overrides(step_assembler, source_overrides)
-                current, iterations, converged, max_residual, singular = yield (
-                    step_assembler,
-                    b,
-                    current,
-                )
-                saw_singular |= singular
-                if not converged:
-                    break
-            if converged:
-                return DCResult(
-                    voltages=step_assembler.solution_to_dict(current),
-                    iterations=iterations,
-                    converged=True,
-                    max_residual_a=max_residual,
-                )
-
-    assembler = cache.get(gmin_s)
-    b_full = _source_vector_with_overrides(assembler, source_overrides)
-    record_rescue("batch_dc", "source_step")
-    solution, iterations, max_residual, step_assembler, singular = yield from (
-        _gen_source_stepping(cache, b_full, options, gmin_s)
-    )
-    saw_singular |= singular
-    if solution is not None:
-        return DCResult(
-            voltages=step_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    x0 = assembler.initial_solution(initial_voltages)
-    record_rescue("batch_dc", "pseudo_transient")
-    solution, iterations, max_residual, pt_assembler, singular = yield from (
-        _gen_pseudo_transient(cache, b_full, x0, options, gmin_s)
-    )
-    saw_singular |= singular
-    if solution is not None:
-        return DCResult(
-            voltages=pt_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    singular_note = (
-        " after a singular Jacobian was encountered" if saw_singular else ""
-    )
-    raise ConvergenceError(
-        f"DC operating point did not converge{singular_note} "
-        f"(last max residual {max_residual:.3e} A)"
-    )
-
-
-def _gen_sweep_rescue(
-    cache: _AssemblerCache,
-    assembler: MNAAssembler,
-    b: np.ndarray,
-    current: np.ndarray,
-    value: float,
-    source_name: str,
-    options: NewtonOptions,
-    gmin_s: float,
-) -> Generator[_TargetRequest, _TargetResult, Tuple[np.ndarray, int]]:
-    """Generator mirror of :func:`~repro.circuit.dc._sweep_point_rescue`."""
-    node_names = assembler.node_names
-    record_rescue("batch_dc_sweep", "sweep_point")
-    solution, iterations, _residual, _asm, _singular = yield from (
-        _gen_pseudo_transient(cache, b, current, options, gmin_s)
-    )
-    if solution is None:
-        point = yield from _gen_operating_point(
-            cache,
-            initial_voltages={
-                node: float(current[assembler.index_of(node)])
-                for node in node_names
-            },
-            options=options,
-            gmin_s=gmin_s,
-            source_overrides={source_name: float(value)},
-        )
-        iterations += point.iterations
-        solution = assembler.initial_solution(
-            {node: point.voltages[node] for node in node_names}
-        )
-    return solution, iterations
-
-
-def _gen_dc_sweep(
-    cache: _AssemblerCache,
-    spec: SweepLaneSpec,
-    grid: np.ndarray,
-    options: NewtonOptions,
-) -> _DCGen:
-    """Generator mirror of :func:`~repro.circuit.dc.dc_sweep`."""
-    assembler = cache.base
-    first = yield from _gen_operating_point(
-        cache,
-        initial_voltages=spec.initial_voltages,
-        options=options,
-        gmin_s=spec.gmin_s,
-        source_overrides={spec.source_name: float(grid[0])},
-    )
-    node_names = assembler.node_names
-    iterations_total = first.iterations
-
-    current = assembler.initial_solution(
-        {node: first.voltages[node] for node in node_names}
-    )
-    # Hoisted per-point invariants (the scalar loop recomputes these per
-    # point, but they are deterministic: b0 is the t=0 source vector and
-    # the node indices never change, so copying is bitwise identical; the
-    # history is recorded as node-voltage snapshots and split per node at
-    # the end — a pure float64 passthrough).
-    b0 = assembler.source_vector(0.0)
-    branch = assembler.branch_index(spec.source_name)
-    node_pos = np.array(
-        [assembler.index_of(node) for node in node_names], dtype=np.int64
-    )
-    snapshots: List[np.ndarray] = [current[node_pos]]
-    for value in grid[1:]:
-        b = b0.copy()
-        b[branch] = float(value)
-        solution, iterations, converged, _residual, _singular = yield (
-            assembler,
-            b,
-            current,
-        )
-        iterations_total += iterations
-        if not converged:
-            solution, iterations = yield from _gen_sweep_rescue(
-                cache,
-                assembler,
-                b,
-                current,
-                float(value),
-                spec.source_name,
-                options,
-                spec.gmin_s,
-            )
-            iterations_total += iterations
-        current = solution
-        snapshots.append(current[node_pos])
-
-    stacked = np.stack(snapshots)
-    return DCSweepResult(
-        source_name=spec.source_name,
-        values=grid,
-        voltages={
-            node: np.ascontiguousarray(stacked[:, k])
-            for k, node in enumerate(node_names)
-        },
-        iterations_total=iterations_total,
-    )
+_DCGen = Generator[NewtonTarget, NewtonResult, Union[DCResult, DCSweepResult]]
 
 
 # -- DC lockstep engine -----------------------------------------------------------------
@@ -452,7 +142,7 @@ def _gen_dc_sweep(
 # the active lanes' stamps in one kernel call and solves their Jacobians
 # in one batched dense solve.  Per-lane control state (damping, previous
 # residual, iteration count, singular flag) lives in flat arrays indexed
-# by lane; the generators above supply each lane's sequence of targets.
+# by lane; the lane generators of dc.py supply each lane's targets.
 
 
 class _DCLane:
@@ -551,7 +241,7 @@ class _DCGroup:
 
     # -- lane transitions ---------------------------------------------------------
 
-    def _resume(self, i: int, result: Optional[_TargetResult]) -> bool:
+    def _resume(self, i: int, result: Optional[NewtonResult]) -> bool:
         """Advance lane ``i``'s generator; install its next Newton target.
 
         Returns ``False`` when the generator finished (result or exception
@@ -566,7 +256,9 @@ class _DCGroup:
         except Exception as exc:  # noqa: BLE001 - lane isolation by design
             lane.outcome = exc
             return False
-        assembler, b, x0 = target
+        # Lockstep lanes run at escalation level 0 (the entry points demote
+        # rescued lanes), where every target carries the lane's options.
+        assembler, b, x0, _options = target
         self.g_stack[i] = assembler.dense_system().g_dense
         self.b[i] = b
         self.x[i] = x0
@@ -579,7 +271,7 @@ class _DCGroup:
 
     def _resolve(self, i: int, converged: bool, iterations: int) -> None:
         """Report lane ``i``'s finished target back to its generator."""
-        result: _TargetResult = (
+        result: NewtonResult = (
             self.x[i].copy(),
             int(iterations),
             converged,
@@ -912,7 +604,15 @@ def batch_dc_sweep(specs: Sequence[SweepLaneSpec]) -> List[LaneOutcome]:
             lanes.append(
                 _DCLane(
                     index,
-                    _gen_dc_sweep(cache, spec, grid, options),
+                    _gen_dc_sweep(
+                        cache,
+                        spec.source_name,
+                        grid,
+                        spec.initial_voltages,
+                        options,
+                        spec.gmin_s,
+                        kind="batch_dc",
+                    ),
                     assembler,
                     options,
                 )
@@ -962,6 +662,7 @@ def batch_dc_operating_points(
                         options,
                         spec.gmin_s,
                         spec.source_overrides,
+                        kind="batch_dc",
                     ),
                     assembler,
                     options,
@@ -976,14 +677,9 @@ def batch_dc_operating_points(
 
 
 # -- transient lockstep driver ----------------------------------------------------------
-#
-# The generator below is a statement-for-statement transformation of
-# TransientSolver.run + _newton_step with every nonlinear_stamp(x) call
-# replaced by ``yield x``.  Keep the two in sync: any change to
-# transient.py's control flow must be mirrored here, or batched transients
-# lose bit-parity with the scalar solver.
 
 _StampRequest = np.ndarray
+_TransientGen = Generator[_StampRequest, NonlinearStamp, Tuple[TransientResult, int]]
 
 
 def _lane_stamp(assembler: MNAAssembler,
@@ -1024,150 +720,6 @@ def _lane_stamp(assembler: MNAAssembler,
     )
 
 
-def _transient_lane(
-    spec: TransientLaneSpec,
-) -> Generator[_StampRequest, NonlinearStamp, TransientResult]:
-    """Generator mirror of :meth:`TransientSolver.run` (see note above)."""
-    solver = spec.solver
-    options = solver.options
-    assembler = solver.assembler
-    newton = options.newton
-    cache = solver.solver_cache
-    g_matrix = assembler.conductance_matrix
-    c_matrix = assembler.capacitance_matrix
-
-    x = assembler.initial_solution(spec.initial_voltages)
-    record_nodes = (
-        options.record_nodes if options.record_nodes is not None else assembler.node_names
-    )
-    for node in record_nodes:
-        assembler.index_of(node)
-
-    times: List[float] = [0.0]
-    history: Dict[str, List[float]] = {
-        node: [
-            float(x[assembler.index_of(node)])
-            if assembler.index_of(node) is not None
-            else 0.0
-        ]
-        for node in record_nodes
-    }
-
-    time_s = 0.0
-    dt_s = options.dt_initial_s
-    stop_reason = "tstop"
-    steps = 0
-    level = rescue_level()
-    max_steps = options.max_steps * (1 + level)
-    dt_min_s = options.dt_min_s / (10.0 ** level)
-
-    while time_s < options.t_stop_s:
-        if steps >= max_steps:
-            raise ConvergenceError(
-                f"transient exceeded {max_steps} accepted steps "
-                f"before t_stop (reached t={time_s:.3e} s of "
-                f"{options.t_stop_s:.3e} s)"
-            )
-        dt_s = min(dt_s, options.t_stop_s - time_s)
-
-        # ---- inlined _newton_step(x, time_s + dt_s, dt_s, x) ----
-        step_time_s = time_s + dt_s
-        c_dot_prev_over_dt = c_matrix.dot(x) / dt_s
-        b_now = assembler.source_vector(step_time_s)
-        if options.method == "trapezoidal":
-            c_factor = 2.0 / dt_s
-            b_prev = assembler.source_vector(step_time_s - dt_s)
-            stamp_prev = yield x
-            history_term = (
-                c_dot_prev_over_dt * 2.0
-                - g_matrix.dot(x)
-                - stamp_prev.residual
-                + b_prev
-            )
-            rhs_const = b_now + history_term
-        else:
-            c_factor = 1.0 / dt_s
-            rhs_const = b_now + c_dot_prev_over_dt
-        static = cache.static_matrix(c_factor)
-
-        solution: Optional[np.ndarray] = None
-        x_iter = x.copy()
-        for _iteration in range(newton.max_iterations):
-            stamp = yield x_iter
-            residual = static.dot(x_iter) + stamp.residual - rhs_const
-            max_residual = (
-                float(np.max(np.abs(residual))) if residual.size else 0.0
-            )
-            if max_residual < newton.abs_tolerance_a:
-                solution = x_iter
-                break
-            try:
-                delta = cache.solve(c_factor, stamp, -residual)
-            except RuntimeError:
-                solver._singular_seen = True
-                solution = None
-                break
-            delta = np.asarray(delta).ravel()
-            if not np.all(np.isfinite(delta)):
-                solution = None
-                break
-            node_delta = delta[: assembler.n_nodes]
-            max_step = (
-                float(np.max(np.abs(node_delta))) if node_delta.size else 0.0
-            )
-            scale = 1.0
-            if max_step > newton.max_voltage_step_v > 0.0:
-                scale = newton.max_voltage_step_v / max_step
-            x_iter = x_iter + scale * delta
-        else:
-            # Budget exhausted: one last residual check with the final iterate.
-            stamp = yield x_iter
-            residual = static.dot(x_iter) + stamp.residual - rhs_const
-            if float(np.max(np.abs(residual))) < newton.abs_tolerance_a * 100.0:
-                solution = x_iter
-        # ---- end _newton_step ----
-
-        if solution is None:
-            dt_s *= options.dt_shrink
-            if dt_s < dt_min_s:
-                singular_note = (
-                    " after a singular Jacobian was encountered"
-                    if solver._singular_seen
-                    else ""
-                )
-                raise ConvergenceError(
-                    f"transient step at t={time_s:.3e} s failed below the "
-                    f"minimum step size ({dt_min_s:.1e} s){singular_note}"
-                )
-            continue
-
-        steps += 1
-        time_s += dt_s
-        x = solution
-        times.append(time_s)
-        voltages_now: Dict[str, float] = {}
-        for node in record_nodes:
-            index = assembler.index_of(node)
-            value = 0.0 if index is None else float(x[index])
-            history[node].append(value)
-            voltages_now[node] = value
-
-        if spec.stop_condition is not None and spec.stop_condition(
-            time_s, voltages_now
-        ):
-            stop_reason = "stop-condition"
-            break
-
-        dt_s = min(dt_s * options.dt_growth, options.dt_max_s)
-
-    return TransientResult(
-        times_s=np.asarray(times),
-        voltages={node: np.asarray(values) for node, values in history.items()},
-        converged=True,
-        stop_reason=stop_reason,
-    )
-
-
 def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome]:
     """Run many transient analyses with their device stamps batched.
 
@@ -1179,19 +731,29 @@ def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome
     :meth:`TransientSolver.run` calls.
     """
     outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
-    gens: Dict[int, Generator[_StampRequest, NonlinearStamp, TransientResult]] = {}
-    pending: Dict[int, np.ndarray] = {}
+    gens: Dict[int, _TransientGen] = {
+        index: _transient_lane(spec.solver, spec.initial_voltages, spec.stop_condition)
+        for index, spec in enumerate(specs)
+    }
+    pending: Dict[int, _StampRequest] = {}
+    rejections = 0
     stats = solver_stats()
-    for index, spec in enumerate(specs):
-        gen = _transient_lane(spec)
-        try:
-            pending[index] = gen.send(None)
-            gens[index] = gen
-        except StopIteration as done:
-            outcomes[index] = done.value
-        except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
-            outcomes[index] = exc
 
+    def advance(i: int, stamp: Optional[NonlinearStamp]) -> None:
+        """Send lane ``i`` its stamp; queue its next request or finish it."""
+        nonlocal rejections
+        try:
+            pending[i] = gens[i].send(stamp)
+            return
+        except StopIteration as done:
+            outcomes[i], lane_rejections = done.value
+            rejections += lane_rejections
+        except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
+            outcomes[i] = exc
+        del gens[i]
+
+    for index in range(len(specs)):
+        advance(index, None)
     stats.batch_lanes += len(gens)
     while pending:
         order = sorted(pending)
@@ -1224,18 +786,13 @@ def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome
         offsets = np.cumsum([0] + counts)
         for pos, i in enumerate(order):
             lo, hi = offsets[pos], offsets[pos + 1]
-            stamp = _lane_stamp(
-                specs[i].solver.assembler, ids[lo:hi], gm[lo:hi], gds[lo:hi]
+            advance(
+                i,
+                _lane_stamp(
+                    specs[i].solver.assembler, ids[lo:hi], gm[lo:hi], gds[lo:hi]
+                ),
             )
-            gen = gens[i]
-            try:
-                pending[i] = gen.send(stamp)
-            except StopIteration as done:
-                outcomes[i] = done.value
-                del gens[i]
-            except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
-                outcomes[i] = exc
-                del gens[i]
+    record_step_rejections("batch_transient", rejections)
     label = lane_group_label(len(specs))
     for outcome in outcomes:
         if isinstance(outcome, TransientResult):
@@ -1284,12 +841,12 @@ class PreparedWork:
         )
 
     def run_scalar(self) -> Any:
-        """Solve the lanes with the scalar oracle and finish."""
+        """Solve the lanes one at a time with the one-lane drivers and finish."""
         return self.finish([run_lane_scalar(lane) for lane in self.lanes])
 
 
 def run_lane_scalar(lane: LaneSpec) -> Union[DCResult, DCSweepResult, TransientResult]:
-    """Solve one lane spec through the scalar solver it shadows."""
+    """Solve one lane spec through its one-lane driver."""
     if isinstance(lane, SweepLaneSpec):
         return dc_sweep(
             lane.circuit,

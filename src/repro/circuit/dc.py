@@ -19,14 +19,26 @@ with a damped update and two continuation fallbacks for stubborn circuits:
 one voltage source across a grid, warm-starting every point from the
 previous solution.  That continuation is what the SRAM noise-margin
 butterfly curves are traced with.
+
+One control flow, two servicers.  The rescue ladder and the sweep
+continuation are written once, as *lane generators*
+(:func:`_gen_operating_point`, :func:`_gen_dc_sweep`): wherever they need
+a Newton solve they yield a target ``(assembler, b, x0, options)`` and
+receive ``(x, iterations, converged, max_residual, singular)`` back.
+:func:`dc_operating_point` and :func:`dc_sweep` are one-lane drivers that
+answer every target with :func:`_newton_solve`; the lockstep engine of
+:mod:`repro.circuit.batch` answers the targets of many lanes at once with
+one vectorised Newton iteration per tick.  The servicers differ only in
+how they run the Newton iteration, so both tiers walk the same ladder,
+enter the same rungs and count the same iterations.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +69,6 @@ class ConvergenceError(RuntimeError):
 # intermediate layer would otherwise have to forward it.
 
 _rescue_state = threading.local()
-_singular_state = threading.local()
 
 
 def rescue_level() -> int:
@@ -102,10 +113,6 @@ def _perturbed_initial_voltages(
     }
 
 
-def _saw_singular() -> bool:
-    return getattr(_singular_state, "seen", False)
-
-
 @dataclass
 class DCResult:
     """Result of a DC operating-point analysis."""
@@ -133,12 +140,20 @@ class NewtonOptions:
     max_voltage_step_v: float = 0.3
 
 
+#: A Newton target a lane generator yields: solve ``G x + I_nl(x) = b``
+#: from ``x0`` with ``options``.
+NewtonTarget = Tuple[MNAAssembler, np.ndarray, np.ndarray, NewtonOptions]
+#: What a servicer sends back: (x, iterations, converged, max_residual,
+#: singular), where ``singular`` marks an exactly singular Jacobian.
+NewtonResult = Tuple[np.ndarray, int, bool, float, bool]
+
+
 def _newton_solve(
     assembler: MNAAssembler,
     b: np.ndarray,
     x0: np.ndarray,
     options: NewtonOptions,
-) -> tuple[np.ndarray, int, bool, float]:
+) -> NewtonResult:
     """Newton iteration on ``G x + I_nl(x) = b`` starting from ``x0``.
 
     The linear solves go through the dense backend for small systems
@@ -173,7 +188,7 @@ def _newton_solve(
         if max_residual < options.abs_tolerance_a:
             if recorder is not None:
                 recorder.record("dc", residual_log, True)
-            return x, iteration, True, max_residual
+            return x, iteration, True, max_residual, False
         if previous_residual is not None:
             if max_residual >= previous_residual:
                 damping = max(damping * 0.5, options.damping / 256.0)
@@ -189,12 +204,11 @@ def _newton_solve(
             # Exactly singular Jacobian at this gmin: report non-convergence
             # so the caller's gmin-stepping fallback can regularise and retry
             # instead of aborting the whole operating-point search.  The
-            # thread-local flag lets the final ConvergenceError say so,
-            # which is what failure classification keys on.
-            _singular_state.seen = True
+            # singular flag lets the final ConvergenceError say so, which
+            # is what failure classification keys on.
             if recorder is not None:
                 recorder.record("dc", residual_log, False)
-            return x, iteration, False, max_residual
+            return x, iteration, False, max_residual, True
         delta = np.asarray(delta).ravel()
         # Limit the per-iteration voltage step for robustness.
         node_delta = delta[: assembler.n_nodes]
@@ -213,10 +227,10 @@ def _newton_solve(
             if max_residual < options.abs_tolerance_a * 10.0:
                 if recorder is not None:
                     recorder.record("dc", residual_log, True)
-                return x, iteration, True, max_residual
+                return x, iteration, True, max_residual, False
     if recorder is not None:
         recorder.record("dc", residual_log, False)
-    return x, options.max_iterations, False, max_residual
+    return x, options.max_iterations, False, max_residual, False
 
 
 def _source_vector_with_overrides(
@@ -237,12 +251,39 @@ def _source_vector_with_overrides(
     return b
 
 
-def _source_stepping(
-    circuit: Circuit,
+class _AssemblerCache:
+    """Per-circuit cache of gmin variants of one base assembler.
+
+    The rescue ladders revisit a handful of gmin values; each variant is
+    a :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` of the base
+    (bitwise identical to, and ~15x cheaper than, a fresh construction),
+    built once and memoised together with its dense backend.
+    """
+
+    def __init__(self, base: MNAAssembler) -> None:
+        self.base = base
+        self._variants: Dict[float, MNAAssembler] = {base.gmin_s: base}
+
+    def get(self, gmin_s: float) -> MNAAssembler:
+        variant = self._variants.get(gmin_s)
+        if variant is None:
+            variant = self.base.clone_with_gmin(gmin_s)
+            self._variants[gmin_s] = variant
+        return variant
+
+
+#: A rung's return: (solution or None, iterations, max_residual,
+#: assembler of the solution, singular seen).
+_RungResult = Tuple[Optional[np.ndarray], int, float, MNAAssembler, bool]
+_Rung = Generator[NewtonTarget, NewtonResult, _RungResult]
+
+
+def _gen_source_stepping(
+    cache: _AssemblerCache,
     b_full: np.ndarray,
     options: NewtonOptions,
     gmin_s: float,
-) -> tuple[Optional[np.ndarray], int, float, Optional[MNAAssembler]]:
+) -> _Rung:
     """Ramp every independent source from zero to full value (continuation).
 
     Starts from the all-off state (``x = 0`` solves the system exactly at
@@ -253,22 +294,25 @@ def _source_stepping(
     that fails is retried with the increment halved (up to a bounded
     number of refinements), which lets the ramp creep past fold points
     where a coarse step would jump over the surviving solution branch.
-
-    Returns ``(solution, iterations, max_residual, assembler)`` with
-    ``solution=None`` when even the refined ramp fails.
+    The solution is ``None`` when even the refined ramp fails.
     """
-    assembler = MNAAssembler(circuit, gmin_s=gmin_s)
+    assembler = cache.get(gmin_s)
     current = np.zeros(assembler.size)
     total_iterations = 0
     max_residual = float("inf")
+    saw_singular = False
     alpha = 0.0
     step = 0.1
     min_step = 1.0 / 1024.0
     while alpha < 1.0:
         attempt = min(1.0, alpha + step)
-        candidate, iterations, converged, max_residual = _newton_solve(
-            assembler, attempt * b_full, current, options
+        candidate, iterations, converged, max_residual, singular = yield (
+            assembler,
+            attempt * b_full,
+            current,
+            options,
         )
+        saw_singular |= singular
         total_iterations += iterations
         if converged:
             current = candidate
@@ -277,17 +321,17 @@ def _source_stepping(
             continue
         step /= 2.0
         if step < min_step:
-            return None, total_iterations, max_residual, assembler
-    return current, total_iterations, max_residual, assembler
+            return None, total_iterations, max_residual, assembler, saw_singular
+    return current, total_iterations, max_residual, assembler, saw_singular
 
 
-def _pseudo_transient(
-    circuit: Circuit,
+def _gen_pseudo_transient(
+    cache: _AssemblerCache,
     b_full: np.ndarray,
     x0: np.ndarray,
     options: NewtonOptions,
     gmin_s: float,
-) -> tuple[Optional[np.ndarray], int, float, Optional[MNAAssembler]]:
+) -> _Rung:
     """Pseudo-transient continuation: anchor Newton to the previous iterate.
 
     Each level solves ``F(x) + g_pt·(x − x_anchor) = 0`` — the backward-
@@ -301,37 +345,173 @@ def _pseudo_transient(
     x = x0.copy()
     total_iterations = 0
     max_residual = float("inf")
+    saw_singular = False
     g_pt = 1e-2
     for _outer in range(200):
-        assembler = MNAAssembler(circuit, gmin_s=gmin_s + g_pt)
+        assembler = cache.get(gmin_s + g_pt)
         b_pt = b_full.copy()
         b_pt[: assembler.n_nodes] += g_pt * x[: assembler.n_nodes]
-        solution, iterations, converged, _residual = _newton_solve(
-            assembler, b_pt, x, options
+        solution, iterations, converged, _residual, singular = yield (
+            assembler,
+            b_pt,
+            x,
+            options,
         )
+        saw_singular |= singular
         total_iterations += iterations
         if not converged:
             # Pseudo-step too large (too small an anchor): tighten it.
             g_pt *= 10.0
             if g_pt > 1e4:
-                return None, total_iterations, max_residual, assembler
+                return None, total_iterations, max_residual, assembler, saw_singular
             continue
         x = solution
         # Switched evolution/relaxation: grow the pseudo-step as long as
         # the anchored solves succeed, then finish with the exact system.
         g_pt *= 0.1
         if g_pt < 1e-12:
-            assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-            solution, iterations, converged, max_residual = _newton_solve(
-                assembler, b_full, x, options
+            assembler = cache.get(gmin_s)
+            solution, iterations, converged, max_residual, singular = yield (
+                assembler,
+                b_full,
+                x,
+                options,
             )
+            saw_singular |= singular
             total_iterations += iterations
             if converged:
-                return solution, total_iterations, max_residual, assembler
+                return solution, total_iterations, max_residual, assembler, saw_singular
             # The exact solve still bounced: keep evolving from here with
             # a fresh, tighter pseudo-step.
             g_pt = 1e-4
-    return None, total_iterations, max_residual, assembler
+    return None, total_iterations, max_residual, assembler, saw_singular
+
+
+def _gen_operating_point(
+    cache: _AssemblerCache,
+    initial_voltages: Optional[Dict[str, float]],
+    options: NewtonOptions,
+    gmin_s: float,
+    source_overrides: Optional[Mapping[str, float]],
+    kind: str = "dc",
+) -> Generator[NewtonTarget, NewtonResult, DCResult]:
+    """The operating-point rescue ladder of one lane.
+
+    Plain Newton at the baseline gmin, then gmin stepping, source stepping
+    and pseudo-transient continuation.  The active
+    :func:`solver_rescue` escalation applies at every entry, nested ones
+    included: the Newton budget scales by ``1 + level`` and the initial
+    guess is jittered.  ``kind`` labels the rescue-stage counter.
+    """
+    level = rescue_level()
+    if level:
+        options = replace(
+            options, max_iterations=options.max_iterations * (1 + level)
+        )
+        initial_voltages = _perturbed_initial_voltages(initial_voltages)
+    saw_singular = False
+    max_residual = float("inf")
+    for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
+        if gmin_attempt != gmin_s:
+            record_rescue(kind, "gmin_step")
+        assembler = cache.get(gmin_attempt)
+        b = _source_vector_with_overrides(assembler, source_overrides)
+        # initial_solution leaves the voltage-source branch entries zero,
+        # so the first iteration does not start from a wildly
+        # inconsistent point.
+        x0 = assembler.initial_solution(initial_voltages)
+        solution, iterations, converged, max_residual, singular = yield (
+            assembler,
+            b,
+            x0,
+            options,
+        )
+        saw_singular |= singular
+        if converged and gmin_attempt == gmin_s:
+            return DCResult(
+                voltages=assembler.solution_to_dict(solution),
+                iterations=iterations,
+                converged=True,
+                max_residual_a=max_residual,
+            )
+        if converged:
+            # Found a solution at elevated gmin: walk gmin back down using
+            # the converged solution as the new starting point.
+            current = solution
+            for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
+                step_assembler = cache.get(step_gmin)
+                b = _source_vector_with_overrides(step_assembler, source_overrides)
+                current, iterations, converged, max_residual, singular = yield (
+                    step_assembler,
+                    b,
+                    current,
+                    options,
+                )
+                saw_singular |= singular
+                if not converged:
+                    break
+            if converged:
+                return DCResult(
+                    voltages=step_assembler.solution_to_dict(current),
+                    iterations=iterations,
+                    converged=True,
+                    max_residual_a=max_residual,
+                )
+
+    # Fallback: source stepping at the baseline gmin.  The ramp tracks a
+    # physical turn-on trajectory, so bistable circuits land in a consistent
+    # state instead of oscillating around the unstable ridge.
+    assembler = cache.get(gmin_s)
+    b_full = _source_vector_with_overrides(assembler, source_overrides)
+    record_rescue(kind, "source_step")
+    solution, iterations, max_residual, step_assembler, singular = yield from (
+        _gen_source_stepping(cache, b_full, options, gmin_s)
+    )
+    saw_singular |= singular
+    if solution is not None:
+        return DCResult(
+            voltages=step_assembler.solution_to_dict(solution),
+            iterations=iterations,
+            converged=True,
+            max_residual_a=max_residual,
+        )
+
+    # Last resort: pseudo-transient continuation from the caller's guess
+    # (needed when the guessed state has ceased to exist — e.g. just past
+    # the fold of a bistable cell — and Newton must cross onto the
+    # surviving branch).
+    x0 = assembler.initial_solution(initial_voltages)
+    record_rescue(kind, "pseudo_transient")
+    solution, iterations, max_residual, pt_assembler, singular = yield from (
+        _gen_pseudo_transient(cache, b_full, x0, options, gmin_s)
+    )
+    saw_singular |= singular
+    if solution is not None:
+        return DCResult(
+            voltages=pt_assembler.solution_to_dict(solution),
+            iterations=iterations,
+            converged=True,
+            max_residual_a=max_residual,
+        )
+
+    singular_note = (
+        " after a singular Jacobian was encountered" if saw_singular else ""
+    )
+    raise ConvergenceError(
+        f"DC operating point did not converge{singular_note} "
+        f"(last max residual {max_residual:.3e} A)"
+    )
+
+
+def _solve_lane(lane: Generator[NewtonTarget, NewtonResult, Any]) -> Any:
+    """Drive one lane generator, answering every target with :func:`_newton_solve`."""
+    result: Optional[NewtonResult] = None
+    while True:
+        try:
+            target = lane.send(result)
+        except StopIteration as done:
+            return done.value
+        result = _newton_solve(*target)
 
 
 def dc_operating_point(
@@ -362,8 +542,14 @@ def dc_operating_point(
     """
     with span("solver.dc") as dc_span:
         try:
-            result = _dc_operating_point(
-                circuit, initial_voltages, options, gmin_s, source_overrides
+            result = _solve_lane(
+                _gen_operating_point(
+                    _AssemblerCache(MNAAssembler(circuit, gmin_s=gmin_s)),
+                    initial_voltages,
+                    options if options is not None else NewtonOptions(),
+                    gmin_s,
+                    source_overrides,
+                )
             )
         except ConvergenceError:
             record_convergence("dc", 0, False)
@@ -371,104 +557,6 @@ def dc_operating_point(
         dc_span.annotate(iterations=result.iterations, converged=result.converged)
         record_convergence("dc", result.iterations, result.converged)
         return result
-
-
-def _dc_operating_point(
-    circuit: Circuit,
-    initial_voltages: Optional[Dict[str, float]],
-    options: Optional[NewtonOptions],
-    gmin_s: float,
-    source_overrides: Optional[Mapping[str, float]],
-) -> DCResult:
-    chosen_options = options if options is not None else NewtonOptions()
-    level = rescue_level()
-    if level:
-        chosen_options = replace(
-            chosen_options,
-            max_iterations=chosen_options.max_iterations * (1 + level),
-        )
-        initial_voltages = _perturbed_initial_voltages(initial_voltages)
-    _singular_state.seen = False
-
-    for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
-        if gmin_attempt != gmin_s:
-            record_rescue("dc", "gmin_step")
-        assembler = MNAAssembler(circuit, gmin_s=gmin_attempt)
-        b = _source_vector_with_overrides(assembler, source_overrides)
-        x0 = assembler.initial_solution(initial_voltages)
-        # Seed the voltage-source branch targets so the first iteration does
-        # not start from a wildly inconsistent point.
-        for offset, source in enumerate(assembler.voltage_sources):
-            x0[assembler.n_nodes + offset] = 0.0
-        solution, iterations, converged, max_residual = _newton_solve(
-            assembler, b, x0, chosen_options
-        )
-        if converged and gmin_attempt == gmin_s:
-            return DCResult(
-                voltages=assembler.solution_to_dict(solution),
-                iterations=iterations,
-                converged=True,
-                max_residual_a=max_residual,
-            )
-        if converged:
-            # Found a solution at elevated gmin: walk gmin back down using the
-            # converged solution as the new starting point.
-            current = solution
-            for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
-                step_assembler = MNAAssembler(circuit, gmin_s=step_gmin)
-                b = _source_vector_with_overrides(step_assembler, source_overrides)
-                current, iterations, converged, max_residual = _newton_solve(
-                    step_assembler, b, current, chosen_options
-                )
-                if not converged:
-                    break
-            if converged:
-                return DCResult(
-                    voltages=step_assembler.solution_to_dict(current),
-                    iterations=iterations,
-                    converged=True,
-                    max_residual_a=max_residual,
-                )
-
-    # Fallback: source stepping at the baseline gmin.  The ramp tracks a
-    # physical turn-on trajectory, so bistable circuits land in a consistent
-    # state instead of oscillating around the unstable ridge.
-    assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-    b_full = _source_vector_with_overrides(assembler, source_overrides)
-    record_rescue("dc", "source_step")
-    solution, iterations, max_residual, step_assembler = _source_stepping(
-        circuit, b_full, chosen_options, gmin_s
-    )
-    if solution is not None:
-        return DCResult(
-            voltages=step_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    # Last resort: pseudo-transient continuation from the caller's guess
-    # (needed when the guessed state has ceased to exist — e.g. just past
-    # the fold of a bistable cell — and Newton must cross onto the
-    # surviving branch).
-    x0 = assembler.initial_solution(initial_voltages)
-    record_rescue("dc", "pseudo_transient")
-    solution, iterations, max_residual, pt_assembler = _pseudo_transient(
-        circuit, b_full, x0, chosen_options, gmin_s
-    )
-    if solution is not None:
-        return DCResult(
-            voltages=pt_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    singular_note = " after a singular Jacobian was encountered" if _saw_singular() else ""
-    raise ConvergenceError(
-        f"DC operating point did not converge{singular_note} "
-        f"(last max residual {max_residual:.3e} A)"
-    )
 
 
 @dataclass
@@ -526,48 +614,96 @@ class DCSweepResult:
         return None
 
 
-def _sweep_point_rescue(
-    circuit: Circuit,
-    assembler: MNAAssembler,
-    b: np.ndarray,
-    current: np.ndarray,
-    value: float,
+def _gen_dc_sweep(
+    cache: _AssemblerCache,
     source_name: str,
+    grid: np.ndarray,
+    initial_voltages: Optional[Dict[str, float]],
     options: NewtonOptions,
     gmin_s: float,
-) -> tuple[np.ndarray, int]:
-    """Recover one sweep point whose warm start failed.
+    kind: str = "dc",
+    first: Optional[DCResult] = None,
+) -> Generator[NewtonTarget, NewtonResult, DCSweepResult]:
+    """The continuation sweep of one lane.
 
-    Warm start lost the branch (possible right at a fold).  The
-    branch-faithful rescue is pseudo-transient continuation anchored at
-    the previous point: it relaxes along the circuit dynamics, so it
-    stays on the current branch while it exists and crosses onto the
-    surviving one exactly when it folds — unlike the gmin ladder, which
-    can hop branches early.  Shared verbatim by the scalar sweep and the
-    batched tier's per-straggler fallback, so a rescued lane reproduces
-    the scalar trajectory bit-for-bit.
+    ``first`` is the already-solved first point, when the caller solved it
+    itself; otherwise the sweep starts with the operating-point ladder.
+    Continuation points keep the caller's unescalated ``options``.
     """
+    assembler = cache.base
+    if first is None:
+        first = yield from _gen_operating_point(
+            cache,
+            initial_voltages,
+            options,
+            gmin_s,
+            {source_name: float(grid[0])},
+            kind,
+        )
     node_names = assembler.node_names
-    record_rescue("dc_sweep", "sweep_point")
-    solution, iterations, _residual, _asm = _pseudo_transient(
-        circuit, b, current, options, gmin_s
+    iterations_total = first.iterations
+
+    current = assembler.initial_solution(
+        {node: first.voltages[node] for node in node_names}
     )
-    if solution is None:
-        point = dc_operating_point(
-            circuit,
-            initial_voltages={
-                node: float(current[assembler.index_of(node)])
-                for node in node_names
-            },
-            options=options,
-            gmin_s=gmin_s,
-            source_overrides={source_name: float(value)},
+    # Per-point invariants: b0 is the t=0 source vector and the node
+    # indices never change.  The history is recorded as node-voltage
+    # snapshots and split per node at the end (a pure float64 passthrough).
+    b0 = assembler.source_vector(0.0)
+    branch = assembler.branch_index(source_name)
+    node_pos = np.array(
+        [assembler.index_of(node) for node in node_names], dtype=np.int64
+    )
+    snapshots: List[np.ndarray] = [current[node_pos]]
+    for value in grid[1:]:
+        b = b0.copy()
+        b[branch] = float(value)
+        solution, iterations, converged, _residual, _singular = yield (
+            assembler,
+            b,
+            current,
+            options,
         )
-        iterations += point.iterations
-        solution = assembler.initial_solution(
-            {node: point.voltages[node] for node in node_names}
-        )
-    return solution, iterations
+        iterations_total += iterations
+        if not converged:
+            # Warm start lost the branch (possible right at a fold).  The
+            # branch-faithful rescue is pseudo-transient continuation
+            # anchored at the previous point: it relaxes along the circuit
+            # dynamics, so it stays on the current branch while it exists
+            # and crosses onto the surviving one exactly when it folds —
+            # unlike the gmin ladder, which can hop branches early.  The
+            # full ladder is the last resort.
+            record_rescue(f"{kind}_sweep", "sweep_point")
+            solution, iterations, _residual, _asm, _singular = yield from (
+                _gen_pseudo_transient(cache, b, current, options, gmin_s)
+            )
+            if solution is None:
+                point = yield from _gen_operating_point(
+                    cache,
+                    {node: float(current[assembler.index_of(node)]) for node in node_names},
+                    options,
+                    gmin_s,
+                    {source_name: float(value)},
+                    kind,
+                )
+                iterations += point.iterations
+                solution = assembler.initial_solution(
+                    {node: point.voltages[node] for node in node_names}
+                )
+            iterations_total += iterations
+        current = solution
+        snapshots.append(current[node_pos])
+
+    stacked = np.stack(snapshots)
+    return DCSweepResult(
+        source_name=source_name,
+        values=grid,
+        voltages={
+            node: np.ascontiguousarray(stacked[:, k])
+            for k, node in enumerate(node_names)
+        },
+        iterations_total=iterations_total,
+    )
 
 
 def dc_sweep(
@@ -584,8 +720,9 @@ def dc_sweep(
     :func:`dc_operating_point`; every following point warm-starts Newton
     from the previous solution (the continuation that lets the butterfly
     sweeps walk through the steep VTC transition without losing the
-    branch).  A point that fails the warm start falls back to the full
-    ladder before the sweep gives up.
+    branch).  A point that fails the warm start falls back to
+    pseudo-transient continuation and then the full ladder before the
+    sweep gives up.
 
     Parameters
     ----------
@@ -608,67 +745,28 @@ def dc_sweep(
     chosen_options = options if options is not None else NewtonOptions()
 
     with span("solver.dc_sweep", points=int(grid.size)) as sweep_span:
-        result = _dc_sweep(
-            circuit, source_name, grid, initial_voltages, chosen_options, gmin_s
+        assembler = MNAAssembler(circuit, gmin_s=gmin_s)
+        assembler.branch_index(source_name)  # raises early for a bad source name
+        # The first point goes through dc_operating_point so it keeps its
+        # own solver.dc span and convergence observation.
+        first = dc_operating_point(
+            circuit,
+            initial_voltages=initial_voltages,
+            options=chosen_options,
+            gmin_s=gmin_s,
+            source_overrides={source_name: float(grid[0])},
+        )
+        result = _solve_lane(
+            _gen_dc_sweep(
+                _AssemblerCache(assembler),
+                source_name,
+                grid,
+                initial_voltages,
+                chosen_options,
+                gmin_s,
+                first=first,
+            )
         )
         sweep_span.annotate(iterations=result.iterations_total)
         record_convergence("dc_sweep", result.iterations_total, True)
         return result
-
-
-def _dc_sweep(
-    circuit: Circuit,
-    source_name: str,
-    grid: np.ndarray,
-    initial_voltages: Optional[Dict[str, float]],
-    chosen_options: NewtonOptions,
-    gmin_s: float,
-) -> DCSweepResult:
-    assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-    assembler.branch_index(source_name)  # raises early for a bad source name
-
-    first = dc_operating_point(
-        circuit,
-        initial_voltages=initial_voltages,
-        options=chosen_options,
-        gmin_s=gmin_s,
-        source_overrides={source_name: float(grid[0])},
-    )
-    node_names = assembler.node_names
-    history: Dict[str, List[float]] = {
-        node: [first.voltages[node]] for node in node_names
-    }
-    iterations_total = first.iterations
-
-    current = assembler.initial_solution(
-        {node: first.voltages[node] for node in node_names}
-    )
-    for value in grid[1:]:
-        b = assembler.source_vector(0.0)
-        b[assembler.branch_index(source_name)] = float(value)
-        solution, iterations, converged, _residual = _newton_solve(
-            assembler, b, current, chosen_options
-        )
-        iterations_total += iterations
-        if not converged:
-            solution, iterations = _sweep_point_rescue(
-                circuit,
-                assembler,
-                b,
-                current,
-                float(value),
-                source_name,
-                chosen_options,
-                gmin_s,
-            )
-            iterations_total += iterations
-        current = solution
-        for node in node_names:
-            history[node].append(float(current[assembler.index_of(node)]))
-
-    return DCSweepResult(
-        source_name=source_name,
-        values=grid,
-        voltages={node: np.asarray(values) for node, values in history.items()},
-        iterations_total=iterations_total,
-    )

@@ -13,19 +13,29 @@ Backward Euler is the default because the bit-line discharge is a heavily
 damped RC problem where BE's numerical damping is harmless and its
 robustness is welcome; trapezoidal integration is available for accuracy
 studies (see the integration-method ablation bench).
+
+One control flow, two servicers.  The time loop is written once, as the
+lane generator :func:`_transient_lane`, which yields the iterate wherever
+it needs the nonlinear device stamp and receives the stamp back.
+:meth:`TransientSolver.run` answers every request with
+:meth:`~repro.circuit.mna.MNAAssembler.nonlinear_stamp`; the batched tier
+(:func:`repro.circuit.batch.batch_run_transients`) gathers the pending
+requests of many lanes into one vectorised device-kernel call per tick.
+The linear solves stay on each lane's own
+:class:`~repro.circuit.mna.CachedFactorSolver` in both cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.convergence import record_convergence, record_step_rejections
 from ..obs.trace import span
 from .dc import ConvergenceError, NewtonOptions, rescue_level
-from .mna import CachedFactorSolver, JacobianTemplate, MNAAssembler
+from .mna import CachedFactorSolver, JacobianTemplate, MNAAssembler, NonlinearStamp
 from .netlist import Circuit
 from .waveform import TransientResult
 
@@ -78,76 +88,6 @@ class TransientSolver:
         # previously solved same-topology circuit (e.g. the same RC ladder
         # at a different patterning corner) so only the values are rebuilt.
         self.solver_cache = CachedFactorSolver(self.assembler, like=jacobian_like)
-        # Set when a time step hits an exactly singular system; surfaces in
-        # the ConvergenceError message so failures classify correctly.
-        self._singular_seen = False
-
-    # -- single implicit step -----------------------------------------------------
-
-    def _newton_step(
-        self,
-        x_prev: np.ndarray,
-        time_s: float,
-        dt_s: float,
-        x_guess: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Solve one implicit time step; returns None when Newton fails."""
-        assembler = self.assembler
-        options = self.options.newton
-        solver = self.solver_cache
-        g_matrix = assembler.conductance_matrix
-        c_matrix = assembler.capacitance_matrix
-        # C·x_prev as a vector op — no per-step sparse scalar division.
-        c_dot_prev_over_dt = c_matrix.dot(x_prev) / dt_s
-        b_now = assembler.source_vector(time_s)
-
-        if self.options.method == "trapezoidal":
-            # Trapezoidal: C (x−x_prev)/dt = −0.5 [f(x, t) + f(x_prev, t_prev)]
-            # Rearranged into Newton form with an extra history term.
-            c_factor = 2.0 / dt_s
-            b_prev = assembler.source_vector(time_s - dt_s)
-            stamp_prev = assembler.nonlinear_stamp(x_prev)
-            history = (
-                c_dot_prev_over_dt * 2.0
-                - g_matrix.dot(x_prev)
-                - stamp_prev.residual
-                + b_prev
-            )
-            rhs_const = b_now + history
-        else:
-            c_factor = 1.0 / dt_s
-            rhs_const = b_now + c_dot_prev_over_dt
-        static = solver.static_matrix(c_factor)
-
-        x = x_guess.copy()
-        for _iteration in range(options.max_iterations):
-            stamp = assembler.nonlinear_stamp(x)
-            residual = static.dot(x) + stamp.residual - rhs_const
-            max_residual = float(np.max(np.abs(residual))) if residual.size else 0.0
-            if max_residual < options.abs_tolerance_a:
-                return x
-            try:
-                delta = solver.solve(c_factor, stamp, -residual)
-            except RuntimeError:
-                self._singular_seen = True
-                return None
-            delta = np.asarray(delta).ravel()
-            if not np.all(np.isfinite(delta)):
-                return None
-            node_delta = delta[: assembler.n_nodes]
-            max_step = float(np.max(np.abs(node_delta))) if node_delta.size else 0.0
-            scale = 1.0
-            if max_step > options.max_voltage_step_v > 0.0:
-                scale = options.max_voltage_step_v / max_step
-            x = x + scale * delta
-        # One last residual check with the final iterate.
-        stamp = assembler.nonlinear_stamp(x)
-        residual = static.dot(x) + stamp.residual - rhs_const
-        if float(np.max(np.abs(residual))) < options.abs_tolerance_a * 100.0:
-            return x
-        return None
-
-    # -- full transient --------------------------------------------------------------
 
     def run(
         self,
@@ -166,115 +106,190 @@ class TransientSolver:
             Optional predicate evaluated after every accepted step; the
             simulation ends as soon as it returns true.
         """
-        # One span for the whole analysis: _newton_step fires thousands
+        # One span for the whole analysis: the Newton loop fires thousands
         # of times per run, so per-step spans would swamp the trace.
         # Convergence telemetry follows the same rule — one histogram
         # observation and one rejection-counter add per run, never per
         # step.
         with span("solver.transient") as tr_span:
-            rejections = 0
+            lane = _transient_lane(self, initial_voltages, stop_condition)
+            stamp: Optional[NonlinearStamp] = None
             try:
-                result, steps, rejections = self._run(
-                    initial_voltages, stop_condition
-                )
+                while True:
+                    stamp = self.assembler.nonlinear_stamp(lane.send(stamp))
+            except StopIteration as done:
+                result, rejections = done.value
             except ConvergenceError:
                 record_convergence("transient", 0, False)
                 raise
-            finally:
-                record_step_rejections("transient", rejections)
+            record_step_rejections("transient", rejections)
+            steps = len(result.times_s) - 1
             tr_span.annotate(
                 steps=steps, rejected=rejections, stop=result.stop_reason
             )
             record_convergence("transient", steps, True)
             return result
 
-    def _run(
-        self,
-        initial_voltages: Optional[Dict[str, float]],
-        stop_condition: Optional[StopCondition],
-    ) -> "tuple[TransientResult, int, int]":
-        """Run the time loop; returns (result, accepted steps, rejections)."""
-        options = self.options
-        assembler = self.assembler
 
-        x = assembler.initial_solution(initial_voltages)
-        record_nodes = (
-            options.record_nodes if options.record_nodes is not None else assembler.node_names
-        )
-        for node in record_nodes:
-            assembler.index_of(node)  # raises early for typos
+def _transient_lane(
+    solver: TransientSolver,
+    initial_voltages: Optional[Dict[str, float]],
+    stop_condition: Optional[StopCondition],
+) -> Generator[np.ndarray, NonlinearStamp, Tuple[TransientResult, int]]:
+    """The time loop of one lane; returns (result, rejected steps).
 
-        times: List[float] = [0.0]
-        history: Dict[str, List[float]] = {
-            node: [float(x[assembler.index_of(node)]) if assembler.index_of(node) is not None else 0.0]
-            for node in record_nodes
-        }
+    Yields the iterate ``x`` wherever the implicit step needs the
+    nonlinear device stamp at ``x`` and expects that stamp sent back.
+    """
+    options = solver.options
+    assembler = solver.assembler
+    newton = options.newton
+    cache = solver.solver_cache
+    g_matrix = assembler.conductance_matrix
+    c_matrix = assembler.capacitance_matrix
 
-        time_s = 0.0
-        dt_s = options.dt_initial_s
-        stop_reason = "tstop"
-        steps = 0
-        rejections = 0
-        # Item-retry rescue: each escalation level buys a larger accepted-
-        # step budget and a lower dt floor, so a retry of an item that died
-        # on budget exhaustion or step underflow actually tries harder.
-        level = rescue_level()
-        max_steps = options.max_steps * (1 + level)
-        dt_min_s = options.dt_min_s / (10.0 ** level)
+    x = assembler.initial_solution(initial_voltages)
+    record_nodes = (
+        options.record_nodes if options.record_nodes is not None else assembler.node_names
+    )
+    for node in record_nodes:
+        assembler.index_of(node)  # raises early for typos
 
-        # ``steps`` counts *accepted* steps only: a rejected (non-converged)
-        # step is retried at half the size without consuming budget, so
-        # step-halving near stiff corners cannot exhaust ``max_steps``
-        # spuriously.  Rejections are still bounded — each one shrinks dt
-        # and the solver raises once dt falls below ``dt_min_s``.
-        while time_s < options.t_stop_s:
-            if steps >= max_steps:
-                raise ConvergenceError(
-                    f"transient exceeded {max_steps} accepted steps "
-                    f"before t_stop (reached t={time_s:.3e} s of "
-                    f"{options.t_stop_s:.3e} s)"
-                )
-            dt_s = min(dt_s, options.t_stop_s - time_s)
-            solution = self._newton_step(x, time_s + dt_s, dt_s, x)
-            if solution is None:
-                rejections += 1
-                dt_s *= options.dt_shrink
-                if dt_s < dt_min_s:
-                    singular_note = (
-                        " after a singular Jacobian was encountered"
-                        if self._singular_seen
-                        else ""
-                    )
-                    raise ConvergenceError(
-                        f"transient step at t={time_s:.3e} s failed below the "
-                        f"minimum step size ({dt_min_s:.1e} s){singular_note}"
-                    )
-                continue
+    times: List[float] = [0.0]
+    history: Dict[str, List[float]] = {
+        node: [
+            float(x[assembler.index_of(node)])
+            if assembler.index_of(node) is not None
+            else 0.0
+        ]
+        for node in record_nodes
+    }
 
-            steps += 1
-            time_s += dt_s
-            x = solution
-            times.append(time_s)
-            voltages_now: Dict[str, float] = {}
-            for node in record_nodes:
-                index = assembler.index_of(node)
-                value = 0.0 if index is None else float(x[index])
-                history[node].append(value)
-                voltages_now[node] = value
+    time_s = 0.0
+    dt_s = options.dt_initial_s
+    stop_reason = "tstop"
+    steps = 0
+    rejections = 0
+    # Set when a time step hits an exactly singular system; surfaces in
+    # the ConvergenceError message so failures classify correctly.
+    singular_seen = False
+    # Item-retry rescue: each escalation level buys a larger accepted-
+    # step budget and a lower dt floor, so a retry of an item that died
+    # on budget exhaustion or step underflow actually tries harder.
+    level = rescue_level()
+    max_steps = options.max_steps * (1 + level)
+    dt_min_s = options.dt_min_s / (10.0 ** level)
 
-            if stop_condition is not None and stop_condition(time_s, voltages_now):
-                stop_reason = "stop-condition"
+    # ``steps`` counts *accepted* steps only: a rejected (non-converged)
+    # step is retried at half the size without consuming budget, so
+    # step-halving near stiff corners cannot exhaust ``max_steps``
+    # spuriously.  Rejections are still bounded — each one shrinks dt
+    # and the solver raises once dt falls below ``dt_min_s``.
+    while time_s < options.t_stop_s:
+        if steps >= max_steps:
+            raise ConvergenceError(
+                f"transient exceeded {max_steps} accepted steps "
+                f"before t_stop (reached t={time_s:.3e} s of "
+                f"{options.t_stop_s:.3e} s)"
+            )
+        dt_s = min(dt_s, options.t_stop_s - time_s)
+
+        # -- one implicit step from x to time_s + dt_s ----------------------------
+        step_time_s = time_s + dt_s
+        # C·x_prev as a vector op — no per-step sparse scalar division.
+        c_dot_prev_over_dt = c_matrix.dot(x) / dt_s
+        b_now = assembler.source_vector(step_time_s)
+        if options.method == "trapezoidal":
+            # Trapezoidal: C (x−x_prev)/dt = −0.5 [f(x, t) + f(x_prev, t_prev)]
+            # Rearranged into Newton form with an extra history term.
+            c_factor = 2.0 / dt_s
+            b_prev = assembler.source_vector(step_time_s - dt_s)
+            stamp_prev = yield x
+            history_term = (
+                c_dot_prev_over_dt * 2.0
+                - g_matrix.dot(x)
+                - stamp_prev.residual
+                + b_prev
+            )
+            rhs_const = b_now + history_term
+        else:
+            c_factor = 1.0 / dt_s
+            rhs_const = b_now + c_dot_prev_over_dt
+        static = cache.static_matrix(c_factor)
+
+        solution: Optional[np.ndarray] = None
+        x_iter = x.copy()
+        for _iteration in range(newton.max_iterations):
+            stamp = yield x_iter
+            residual = static.dot(x_iter) + stamp.residual - rhs_const
+            max_residual = (
+                float(np.max(np.abs(residual))) if residual.size else 0.0
+            )
+            if max_residual < newton.abs_tolerance_a:
+                solution = x_iter
                 break
+            try:
+                delta = cache.solve(c_factor, stamp, -residual)
+            except RuntimeError:
+                singular_seen = True
+                break
+            delta = np.asarray(delta).ravel()
+            if not np.all(np.isfinite(delta)):
+                break
+            node_delta = delta[: assembler.n_nodes]
+            max_step = (
+                float(np.max(np.abs(node_delta))) if node_delta.size else 0.0
+            )
+            scale = 1.0
+            if max_step > newton.max_voltage_step_v > 0.0:
+                scale = newton.max_voltage_step_v / max_step
+            x_iter = x_iter + scale * delta
+        else:
+            # Budget exhausted: one last residual check with the final iterate.
+            stamp = yield x_iter
+            residual = static.dot(x_iter) + stamp.residual - rhs_const
+            if float(np.max(np.abs(residual))) < newton.abs_tolerance_a * 100.0:
+                solution = x_iter
 
-            dt_s = min(dt_s * options.dt_growth, options.dt_max_s)
+        if solution is None:
+            rejections += 1
+            dt_s *= options.dt_shrink
+            if dt_s < dt_min_s:
+                singular_note = (
+                    " after a singular Jacobian was encountered"
+                    if singular_seen
+                    else ""
+                )
+                raise ConvergenceError(
+                    f"transient step at t={time_s:.3e} s failed below the "
+                    f"minimum step size ({dt_min_s:.1e} s){singular_note}"
+                )
+            continue
 
-        result = TransientResult(
-            times_s=np.asarray(times),
-            voltages={node: np.asarray(values) for node, values in history.items()},
-            converged=True,
-            stop_reason=stop_reason,
-        )
-        return result, steps, rejections
+        steps += 1
+        time_s += dt_s
+        x = solution
+        times.append(time_s)
+        voltages_now: Dict[str, float] = {}
+        for node in record_nodes:
+            index = assembler.index_of(node)
+            value = 0.0 if index is None else float(x[index])
+            history[node].append(value)
+            voltages_now[node] = value
+
+        if stop_condition is not None and stop_condition(time_s, voltages_now):
+            stop_reason = "stop-condition"
+            break
+
+        dt_s = min(dt_s * options.dt_growth, options.dt_max_s)
+
+    result = TransientResult(
+        times_s=np.asarray(times),
+        voltages={node: np.asarray(values) for node, values in history.items()},
+        converged=True,
+        stop_reason=stop_reason,
+    )
+    return result, rejections
 
 
 def run_transient(

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..extraction.lpe import ParameterizedLPE, RCVariation
+from ..extraction.lpe import ParameterizedLPE
 from ..layout.array import generate_array_layout
 from ..sram.cell import bitline_loading_per_unselected_cell_f
 from ..sram.precharge import PrechargeCapacitanceLaw
@@ -167,15 +167,6 @@ class AnalyticalDelayModel:
     def tdp_percent(self, n: ArrayLike, rvar: ArrayLike, cvar: ArrayLike) -> ArrayLike:
         """Read-time penalty in percent (the quantity of Tables III/IV)."""
         return (self.tdp(n, rvar, cvar) - 1.0) * 100.0
-
-    def tdp_from_variation(self, n: int, variation: "RCVariation") -> ArrayLike:
-        """tdp from an extracted :class:`RCVariation` or a batched variation.
-
-        Any object with ``rvar``/``cvar`` attributes works, so a
-        :class:`~repro.extraction.lpe.BatchRCVariation` maps a whole sample
-        set in one call.
-        """
-        return self.tdp(n, variation.rvar, variation.cvar)
 
     # -- sensitivities -----------------------------------------------------------------
 

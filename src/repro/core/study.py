@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..sram.read_path import ReadPathSimulator
 from ..technology.node import TechnologyNode
 from ..variability.doe import StudyDOE, paper_doe
 from .analytical import AnalyticalDelayModel, model_from_technology
-from .campaign import CampaignScenario, SimulationCampaign, scenario_grid
+from .campaign import CampaignScenario, SimulationCampaign
 from .comparison import ComparisonVerdict, OptionComparison
 from .montecarlo import MonteCarloTdpStudy
 from .results import StudyReport
@@ -90,7 +90,6 @@ class MultiPatterningSRAMStudy:
             seed=self.seed,
         )
         self._campaign: Optional[SimulationCampaign] = None
-        self._operation_campaigns: Dict[tuple, SimulationCampaign] = {}
 
     # -- declarative bridge --------------------------------------------------------------------
 
@@ -197,27 +196,6 @@ class MultiPatterningSRAMStudy:
             seed=self.seed,
         )
 
-    def _operation_campaign_for(
-        self,
-        operations: tuple,
-        array_sizes: Optional[Sequence[int]],
-    ) -> SimulationCampaign:
-        """A memoized campaign over one or more non-read operations."""
-        scenarios = scenario_grid(operations=operations)
-        if array_sizes is None or tuple(array_sizes) == self.doe.array_sizes:
-            campaign = self._operation_campaigns.get(operations)
-            if campaign is None:
-                campaign = self.campaign(scenarios=scenarios)
-                self._operation_campaigns[operations] = campaign
-            return campaign
-        return SimulationCampaign(
-            self.node,
-            doe=replace(self.doe, array_sizes=tuple(array_sizes)),
-            scenarios=scenarios,
-            worst_case=self._worst_case,
-            seed=self.seed,
-        )
-
     # -- individual experiments --------------------------------------------------------------
 
     def run_table1(self):
@@ -265,51 +243,6 @@ class MultiPatterningSRAMStudy:
         """Worst-case tdp: formula versus simulation (Table III)."""
         campaign = self._campaign_for(array_sizes)
         return campaign.table3_rows(campaign.run(workers=workers), self._model)
-
-    def run_operation(
-        self,
-        operation: str,
-        array_sizes: Optional[Sequence[int]] = None,
-        workers: Optional[int] = None,
-    ):
-        """Worst-case impact rows of one operation (the Fig. 4 twin).
-
-        Runs through the campaign engine's operation axis; the numbers are
-        pinned at ``rtol <= 1e-12`` against the sequential
-        :meth:`WorstCaseStudy.operation_rows` path.
-        """
-        campaign = self._operation_campaign_for((operation,), array_sizes)
-        results = campaign.run(workers=workers)
-        return campaign.operation_rows(results, campaign.scenarios[0])
-
-    def run_write(
-        self,
-        array_sizes: Optional[Sequence[int]] = None,
-        workers: Optional[int] = None,
-    ):
-        """Worst-case write-delay impact per option and array size."""
-        return self.run_operation("write", array_sizes=array_sizes, workers=workers)
-
-    def run_margins(
-        self,
-        array_sizes: Optional[Sequence[int]] = None,
-        workers: Optional[int] = None,
-    ):
-        """Hold and read SNM impact rows, keyed by operation name.
-
-        One campaign carries both margin operations, so the two analyses
-        share every layout, extraction and printed corner.
-        """
-        campaign = self._operation_campaign_for(("hold_snm", "read_snm"), array_sizes)
-        results = campaign.run(workers=workers)
-        return {
-            scenario.operation: campaign.operation_rows(results, scenario)
-            for scenario in campaign.scenarios
-        }
-
-    def run_operation_sigma(self, operation: str, n_wordlines: int = 64):
-        """Monte-Carlo σ of one operation's impact (the Table IV twin)."""
-        return self._monte_carlo.operation_sigma_rows(operation, n_wordlines=n_wordlines)
 
     def run_figure5(self, n_wordlines: int = 64, overlay_three_sigma_nm: float = 8.0):
         """Monte-Carlo tdp distributions (Fig. 5)."""

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..layout.wire import NetRole, Track, TrackPattern
+from ..layout.wire import NetRole, TrackPattern
 from ..technology.corners import GaussianSpec, VariationAssumptions
 
 
@@ -160,22 +160,6 @@ class BatchPrintedGeometry:
                     f"{self.nets[int(gap)]!r} and {self.nets[int(gap) + 1]!r} overlap"
                 )
 
-    def printed_pattern_at(self, index: int) -> TrackPattern:
-        """Materialise one sample as a scalar :class:`TrackPattern`."""
-        tracks = []
-        for column, net in enumerate(self.nets):
-            left = float(self.left_edges_nm[index, column])
-            right = float(self.right_edges_nm[index, column])
-            tracks.append(
-                Track(
-                    net=net,
-                    center_nm=0.5 * (left + right),
-                    width_nm=right - left,
-                    role=self.roles[column],
-                    mask=self.masks[column],
-                )
-            )
-        return self.nominal.with_tracks(tracks)
 
 
 def geometry_from_patterns(

@@ -469,15 +469,3 @@ class SRAMMarginAnalyzer:
         """Ratio-scaled SNM as prepared work (batched promotion path)."""
         scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
         return self.prepare_measure(n_cells, scaled, mode=mode, label=label)
-
-    def degradation_percent(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        mode: str = "hold",
-    ) -> float:
-        """SNM degradation (%) of one option/corner versus nominal."""
-        nominal = self.measure_nominal(n_cells, mode=mode)
-        varied = self.measure_with_patterning(n_cells, option, parameters, mode=mode)
-        return varied.degradation_percent_vs(nominal)

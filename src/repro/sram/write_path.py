@@ -476,6 +476,34 @@ class WritePathSimulator:
         if write_value not in (0, 1):
             raise WriteSimulationError("write_value must be 0 or 1")
         chosen = column if column is not None else self.column_parasitics(n_cells)
+        vdd = self.node.operating_conditions.vdd_v
+        circuit, initial = self._build_margin_circuit(n_cells, chosen, write_value)
+        n_points = points if points is not None else self.MARGIN_SWEEP_POINTS
+        sweep = dc_sweep(
+            circuit,
+            "vwrite",
+            np.linspace(vdd, 0.0, n_points),
+            initial_voltages=initial,
+            options=self.DC_SWEEP_NEWTON,
+        )
+        # The flip shows on the stored node: Q falls for a write 0, rises
+        # for a write 1.
+        watch, direction = ("q", "falling") if write_value == 0 else ("q", "rising")
+        trip = sweep.crossing_value(watch, vdd / 2.0, direction=direction)
+        flipped = trip is not None
+        return WriteMarginMeasurement(
+            n_cells=n_cells,
+            label=label,
+            write_value=write_value,
+            margin_v=float(trip) if flipped else 0.0,
+            flipped=flipped,
+            vdd_v=vdd,
+        )
+
+    def _build_margin_circuit(
+        self, n_cells: int, chosen: ColumnParasitics, write_value: int
+    ) -> Tuple[Circuit, Dict[str, float]]:
+        """The write-margin DC circuit (swept source ``vwrite``) and its guess."""
         conditions = self.node.operating_conditions
         vdd = conditions.vdd_v
 
@@ -532,28 +560,7 @@ class WritePathSimulator:
             "vss_cell": 0.0,
         }
         initial.update(cell.initial_conditions(vdd, stored))
-
-        n_points = points if points is not None else self.MARGIN_SWEEP_POINTS
-        sweep = dc_sweep(
-            circuit,
-            "vwrite",
-            np.linspace(vdd, 0.0, n_points),
-            initial_voltages=initial,
-            options=self.DC_SWEEP_NEWTON,
-        )
-        # The flip shows on the stored node: Q falls for a write 0, rises
-        # for a write 1.
-        watch, direction = ("q", "falling") if write_value == 0 else ("q", "rising")
-        trip = sweep.crossing_value(watch, vdd / 2.0, direction=direction)
-        flipped = trip is not None
-        return WriteMarginMeasurement(
-            n_cells=n_cells,
-            label=label,
-            write_value=write_value,
-            margin_v=float(trip) if flipped else 0.0,
-            flipped=flipped,
-            vdd_v=vdd,
-        )
+        return circuit, initial
 
     # -- public measurement entry points -------------------------------------------
 
@@ -631,24 +638,6 @@ class WritePathSimulator:
             column,
             label=label if label is not None else option.name,
             write_value=write_value,
-        )
-
-    def measure_margin_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        label: Optional[str] = None,
-        write_value: int = 0,
-    ) -> WriteMarginMeasurement:
-        """DC write margin of the printed column."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.measure_margin(
-            n_cells,
-            column,
-            write_value=write_value,
-            label=label if label is not None else option.name,
         )
 
     def _scaled_column(

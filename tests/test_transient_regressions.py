@@ -10,11 +10,13 @@ must not consume the budget.
 import numpy as np
 import pytest
 
+from repro.circuit.batch import TransientLaneSpec, batch_run_transients
 from repro.circuit.dc import ConvergenceError
 from repro.circuit.elements import Capacitor, Resistor, VoltageSource
 from repro.circuit.mna import CachedFactorSolver, JacobianTemplate, MNAAssembler
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientOptions, TransientSolver
+from repro.obs.metrics import registry
 
 
 def rc_circuit(resistance_ohm: float = 1e4, capacitance_f: float = 1e-15) -> Circuit:
@@ -64,7 +66,8 @@ class TestStepBudget:
         with pytest.raises(ConvergenceError, match="accepted steps"):
             TransientSolver(rc_circuit(), options=options).run()
 
-    def test_rejected_steps_do_not_consume_the_budget(self, monkeypatch):
+    @pytest.mark.parametrize("driver", ["run", "batch_run_transients"])
+    def test_rejected_steps_do_not_consume_the_budget(self, monkeypatch, driver):
         options = TransientOptions(
             t_stop_s=10 * DT,
             dt_initial_s=DT,
@@ -75,23 +78,32 @@ class TestStepBudget:
             record_nodes=["out"],
         )
         solver = TransientSolver(rc_circuit(), options=options)
-        true_step = type(solver)._newton_step
+        true_solve = CachedFactorSolver.solve
         failures = {"remaining": 8}
 
-        def flaky_step(self, x_prev, time_s, dt_s, x_guess):
+        def flaky_solve(self, c_factor, stamp, rhs):
+            # A singular step system: the step is rejected and retried
+            # at a smaller dt.
             if failures["remaining"] > 0:
                 failures["remaining"] -= 1
-                return None
-            return true_step(self, x_prev, time_s, dt_s, x_guess)
+                raise RuntimeError("singular step system")
+            return true_solve(self, c_factor, stamp, rhs)
 
-        monkeypatch.setattr(type(solver), "_newton_step", flaky_step)
+        monkeypatch.setattr(CachedFactorSolver, "solve", flaky_solve)
+        before = registry().snapshot()
         # 8 rejections plus ~11 accepted steps complete the window; if
         # rejections consumed the budget (8 + 14 > 14) the run would abort
         # a third of the way through.
-        result = solver.run()
+        if driver == "run":
+            result, kind = solver.run(), "transient"
+        else:
+            (result,) = batch_run_transients([TransientLaneSpec(solver)])
+            kind = "batch_transient"
         assert result.stop_reason == "tstop"
         assert failures["remaining"] == 0
         assert result.times_s[-1] == pytest.approx(options.t_stop_s)
+        counters = registry().delta_since(before)["counters"]
+        assert counters[("repro_solver_step_rejections_total", (("kind", kind),))] == 8
 
 
 class TestJacobianStructureReuse:
