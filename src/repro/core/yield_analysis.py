@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from ..variability.doe import DOEPoint
 from .montecarlo import MonteCarloTdpStudy
@@ -168,7 +168,7 @@ def violation_probability(
     if sigma <= 0.0:
         gaussian = 0.0 if record.summary.mean <= budget_percent else 1.0
     else:
-        gaussian = float(stats.norm.sf(budget_percent, loc=record.summary.mean, scale=sigma))
+        gaussian = float(ndtr(-((budget_percent - record.summary.mean) / sigma)))
     return ViolationEstimate(
         option_label=record.label,
         budget_percent=budget_percent,

@@ -20,11 +20,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 class EstimatorError(ValueError):
     """Raised for estimator inputs that cannot produce an estimate."""
+
+
+def _normal_isf(probability: float) -> float:
+    """``scipy.stats.norm.isf(probability)`` to the bit, without ``scipy.stats``.
+
+    ``norm.isf`` returns ``-ndtri(q) * 1.0 + 0.0``; ``0.0 - ndtri(q)`` is the
+    same float, including the ``+0.0`` it gives at ``q = 0.5``.
+    """
+    return float(0.0 - ndtri(probability))
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,7 @@ class TailEstimate:
             return math.inf
         if self.probability >= 1.0:
             return -math.inf
-        return float(norm.isf(self.probability))
+        return _normal_isf(self.probability)
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +78,7 @@ class TailEstimate:
 def _z_for(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise EstimatorError("confidence must be in (0, 1)")
-    return float(norm.isf(0.5 * (1.0 - confidence)))
+    return _normal_isf(0.5 * (1.0 - confidence))
 
 
 def self_normalized_is_estimate(

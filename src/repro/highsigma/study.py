@@ -37,6 +37,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.trace import span
 from .estimator import (
     TailEstimate,
+    _normal_isf,
     binomial_estimate,
     intervals_overlap,
     self_normalized_is_estimate,
@@ -327,13 +328,11 @@ class HighSigmaCornerRow:
 
     @property
     def sigma_equivalent(self) -> float:
-        from scipy.stats import norm
-
         if self.fail_probability <= 0.0:
             return float("inf")
         if self.fail_probability >= 1.0:
             return float("-inf")
-        return float(norm.isf(self.fail_probability))
+        return _normal_isf(self.fail_probability)
 
     def to_record(self) -> Dict[str, Any]:
         return {

@@ -4,7 +4,8 @@ Litho-etch multiple patterning splits a dense layer onto ``k`` masks such
 that no two features closer than the single-exposure resolution share a
 mask.  For the regular, parallel track patterns of an SRAM metal1 layer a
 cyclic assignment is optimal; for irregular patterns the conflict graph is
-coloured with networkx.  Both strategies are provided, plus a checker that
+coloured with networkx, an optional dependency imported only by the two
+colouring functions.  Both strategies are provided, plus a checker that
 verifies a colouring is legal for a given same-mask spacing limit.
 """
 
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..layout.wire import Track, TrackPattern
 from .base import PatterningError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Default mask labels, in exposure order.
 DEFAULT_MASK_LABELS: Tuple[str, ...] = ("A", "B", "C", "D")
@@ -62,6 +64,8 @@ def build_conflict_graph(
 
     The graph nodes are net names; each node stores its track index.
     """
+    import networkx as nx
+
     if same_mask_min_space_nm <= 0.0:
         raise PatterningError("the same-mask spacing limit must be positive")
     graph = nx.Graph()
@@ -71,9 +75,6 @@ def build_conflict_graph(
     for (index_a, track_a), (index_b, track_b) in itertools.combinations(
         enumerate(tracks), 2
     ):
-        space = abs(track_b.left_edge_nm - track_a.right_edge_nm)
-        if track_a.center_nm > track_b.center_nm:
-            space = abs(track_a.left_edge_nm - track_b.right_edge_nm)
         if pattern.space_between(index_a, index_b) < same_mask_min_space_nm:
             graph.add_edge(track_a.net, track_b.net)
     return graph
@@ -94,6 +95,8 @@ def graph_coloring_assignment(
         available (the pattern is not ``n_masks``-decomposable with the
         chosen strategy).
     """
+    import networkx as nx
+
     graph = build_conflict_graph(pattern, same_mask_min_space_nm)
     coloring = nx.greedy_color(graph, strategy=strategy)
     used_colors = set(coloring.values())

@@ -1,6 +1,9 @@
 """Tests of the read-time yield / spec-compliance analysis."""
 
+import math
+
 import pytest
+from scipy.stats import norm
 
 from repro.core.montecarlo import MonteCarloTdpStudy
 from repro.core.results import MonteCarloTdpRecord
@@ -63,6 +66,22 @@ class TestViolationProbability:
         estimate = violation_probability(record, budget_percent=10.0)
         assert estimate.probability == pytest.approx(0.05)
         assert estimate.parts_per_million == pytest.approx(50_000.0)
+
+    @pytest.mark.parametrize("offset_sigma", (-10.0, -6.0, -3.0, -0.5, 0.0, 0.5, 3.0, 6.0, 10.0))
+    def test_gaussian_tail_matches_norm_sf(self, offset_sigma):
+        record = record_from_samples([50.0 + 0.37 * k + 0.011 * k * k for k in range(-12, 13)])
+        mean, sigma = record.summary.mean, record.summary.std
+        budget = mean + offset_sigma * sigma
+        gaussian = violation_probability(record, budget_percent=budget).gaussian_probability
+        expected = float(norm.sf(budget, loc=mean, scale=sigma))
+        assert gaussian == expected
+        assert math.copysign(1.0, gaussian) == math.copysign(1.0, expected)
+
+    def test_zero_spread_gaussian_tail_is_a_step(self):
+        record = record_from_samples([5.0] * 10)
+        assert violation_probability(record, budget_percent=5.0).gaussian_probability == 0.0
+        assert violation_probability(record, budget_percent=6.0).gaussian_probability == 0.0
+        assert violation_probability(record, budget_percent=4.0).gaussian_probability == 1.0
 
     def test_budget_must_be_positive(self):
         record = record_from_samples([0.0, 1.0, 2.0])

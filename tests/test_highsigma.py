@@ -10,12 +10,14 @@ the DOE-level study with its Monte-Carlo parity oracle, and the
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from repro.highsigma import (
+    HighSigmaCornerRow,
     HighSigmaEngine,
     HighSigmaError,
     HighSigmaYieldStudy,
@@ -26,7 +28,7 @@ from repro.highsigma import (
     intervals_overlap,
     self_normalized_is_estimate,
 )
-from repro.highsigma.estimator import EstimatorError, TailEstimate
+from repro.highsigma.estimator import EstimatorError, TailEstimate, _z_for
 from repro.highsigma.space import MixtureProposal, continuous_mask
 from repro.highsigma.study import BatchEvaluator
 from repro.highsigma.surrogate import initial_design, n_quadratic_features
@@ -305,6 +307,83 @@ class TestEstimators:
         c = binomial_estimate(90, 100)
         assert intervals_overlap(a, b)
         assert not intervals_overlap(a, c)
+
+
+#: Tail probabilities from the far tail to the body of the distribution.
+TAIL_PROBABILITIES = (1e-300, 1e-15, 1e-9, 1.35e-3, 0.0228, 0.3, 0.5, 0.9)
+
+
+def assert_identical(value, expected):
+    """The same float: ``==`` plus the sign of zero, which ``==`` ignores."""
+    assert value == expected
+    assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+
+def tail_estimate(probability):
+    return TailEstimate(
+        probability=probability,
+        ci_low=0.0,
+        ci_high=1.0,
+        confidence=0.95,
+        ess=1.0,
+        n_samples=1,
+        method="monte_carlo",
+    )
+
+
+def corner_row(fail_probability):
+    return HighSigmaCornerRow(
+        operation="read",
+        model="analytical",
+        array_label="64x10",
+        option_name="LELELE",
+        overlay_three_sigma_nm=8.0,
+        sigma_level=3.0,
+        threshold=1.0,
+        fail_probability=fail_probability,
+        ci_low=0.0,
+        ci_high=1.0,
+        confidence=0.95,
+        ess=1.0,
+        beta=3.0,
+        shift_converged=True,
+        n_proposals=1,
+        n_promoted=0,
+        n_simulator_calls=1,
+    )
+
+
+class TestNormalQuantiles:
+    """The sigma equivalents and CI quantiles equal ``scipy.stats.norm.isf``."""
+
+    @pytest.mark.parametrize("probability", TAIL_PROBABILITIES)
+    def test_sigma_equivalents_match_norm_isf(self, probability):
+        expected = float(norm.isf(probability))
+        assert_identical(tail_estimate(probability).sigma_equivalent, expected)
+        assert_identical(corner_row(probability).sigma_equivalent, expected)
+
+    @pytest.mark.parametrize(
+        "confidence",
+        # Two-sided levels whose tails are the probabilities above, where
+        # 1 - 2p is inside (0, 1), plus the usual reporting levels.
+        sorted({1.0 - 2.0 * p for p in TAIL_PROBABILITIES if 0.0 < 1.0 - 2.0 * p < 1.0})
+        + [0.9, 0.95, 0.99],
+    )
+    def test_z_for_matches_norm_isf(self, confidence):
+        assert_identical(_z_for(confidence), float(norm.isf(0.5 * (1.0 - confidence))))
+
+    @pytest.mark.parametrize(
+        "probability, expected",
+        ((0.0, math.inf), (-0.1, math.inf), (1.0, -math.inf), (1.5, -math.inf)),
+    )
+    def test_degenerate_probabilities(self, probability, expected):
+        assert tail_estimate(probability).sigma_equivalent == expected
+        assert corner_row(probability).sigma_equivalent == expected
+
+    @pytest.mark.parametrize("confidence", (0.0, 1.0))
+    def test_z_for_rejects_degenerate_confidence(self, confidence):
+        with pytest.raises(EstimatorError):
+            _z_for(confidence)
 
 
 class TestBatchEvaluator:

@@ -1,8 +1,11 @@
 """Tests of mask decomposition (cyclic and graph colouring)."""
 
+import sys
+
 import pytest
 
 from repro.layout.wire import NetRole, uniform_track_pattern
+from repro.patterning import le3
 from repro.patterning.base import PatterningError
 from repro.patterning.decomposition import (
     DecompositionReport,
@@ -22,6 +25,12 @@ def dense_pattern(n_tracks=6, pitch=48.0, width=24.0):
         width_nm=width,
         wire_length_nm=1000.0,
     )
+
+
+@pytest.fixture
+def networkx():
+    """Graph colouring needs the optional networkx dependency."""
+    return pytest.importorskip("networkx")
 
 
 class TestMaskLabels:
@@ -61,6 +70,7 @@ class TestCyclicAssignment:
         assert report.min_same_mask_space_nm == pytest.approx(3 * 48.0 - 24.0)
 
 
+@pytest.mark.usefixtures("networkx")
 class TestConflictGraph:
     def test_adjacent_tracks_conflict(self):
         graph = build_conflict_graph(dense_pattern(4), same_mask_min_space_nm=40.0)
@@ -76,6 +86,7 @@ class TestConflictGraph:
             build_conflict_graph(dense_pattern(4), same_mask_min_space_nm=0.0)
 
 
+@pytest.mark.usefixtures("networkx")
 class TestGraphColoring:
     def test_two_colorable_with_adjacent_conflicts_only(self):
         assignment = graph_coloring_assignment(
@@ -97,6 +108,16 @@ class TestGraphColoring:
             dense_pattern(6), n_masks=3, same_mask_min_space_nm=80.0
         )
         assert assignment["N0"] == "A"
+
+
+class TestWithoutNetworkx:
+    def test_cyclic_decomposition_needs_no_networkx(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        pattern = dense_pattern(6)
+        decomposed = le3().decompose(pattern)
+        assert [track.mask for track in decomposed] == ["A", "B", "C"] * 2
+        with pytest.raises(ImportError):
+            graph_coloring_assignment(pattern, n_masks=3, same_mask_min_space_nm=80.0)
 
 
 class TestVerifyAndApply:

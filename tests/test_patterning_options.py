@@ -119,6 +119,7 @@ class TestLithoEtch:
             option.decompose(cell_like_pattern())
 
     def test_graph_coloring_mode_decomposes_legally(self):
+        pytest.importorskip("networkx")
         option = le3(use_graph_coloring=True, same_mask_min_space_nm=80.0)
         decomposed = option.decompose(cell_like_pattern())
         masks = [track.mask for track in decomposed]
