@@ -198,9 +198,9 @@ class UncachedReadPathSimulator(ReadPathSimulator):
         patterned = option.apply(layout.metal1_pattern, parameters)
         return self._lpe.extract_pattern(patterned.printed)
 
-    def simulate_column(self, *args, **kwargs):
+    def prepare_simulate_column(self, *args, **kwargs):
         self._jacobian_template_cache.clear()
-        return super().simulate_column(*args, **kwargs)
+        return super().prepare_simulate_column(*args, **kwargs)
 
 
 def _scalar_loop_rows(node, doe, model):

@@ -810,12 +810,13 @@ def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome
 # -- prepared measurements --------------------------------------------------------------
 #
 # The measurement layers (read/write columns, butterfly margins, the
-# operation registry) split each measurement into *prepare* — build the
-# circuits and lane specs — and *finish* — turn solved lanes back into a
-# measurement.  The scalar entry points run prepare → run_lane_scalar →
-# finish, the campaign's batched tier runs prepare for a whole chunk and
-# solves every lane of every item in shared batches; both feed the same
-# finish, so the two tiers share one code path end to end.
+# operation registry) build every measurement only as *prepare* — the
+# circuits and lane specs — plus *finish* — turning solved lanes back
+# into a measurement.  Their one-lane ``measure_*`` entry points are
+# ``prepare_*(...).run_scalar()``; the campaign prepares whole chunks and
+# either solves every lane of every item in shared batches
+# (:func:`solve_prepared`) or each item with :meth:`PreparedWork.run_scalar`.
+# Both feed the same finish, so there is one measurement path end to end.
 
 #: Any lane spec a :class:`PreparedWork` may carry.
 LaneSpec = Union[SweepLaneSpec, OperatingPointLaneSpec, TransientLaneSpec]

@@ -31,9 +31,6 @@ class Waveform(abc.ABC):
     def value_at(self, time_s: float) -> float:
         """Source value at ``time_s`` (seconds)."""
 
-    def initial_value(self) -> float:
-        return self.value_at(0.0)
-
 
 @dataclass(frozen=True)
 class DC(Waveform):

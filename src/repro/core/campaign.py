@@ -20,12 +20,21 @@ configuration — and executes it through a process pool:
   rerun skips everything already recorded — a long campaign resumes where
   it stopped.
 
+Every item runs through one loop, :meth:`CampaignWorkerState.run_chunks`:
+prepare every chunk (layout → extraction → lane specs), solve attempt 0
+of all prepared items, then yield each chunk's outcomes for commit.  The
+serial path calls it with all chunks; each pool worker calls it with its
+own chunk.  The ``solver`` knob only picks how attempt 0's lanes are
+solved (jointly, or one item at a time), and every retry is a fresh
+preparation plus a one-lane solve.
+
 Scenario diversity is a first-class axis: overlay-budget sweeps, stored
 value 0/1, VSS strap-interval variants and backward-Euler versus
 trapezoidal integration all cross with the DOE grid.  The default single
-scenario reproduces the paper's Fig. 4 / Table II–III numbers exactly
-(the parity suite pins this at ``rtol <= 1e-12`` against the sequential
-path).
+scenario reproduces the paper's Fig. 4 / Table II–III numbers exactly:
+``tests/test_campaign.py`` pins them at ``rtol <= 1e-12`` against
+``WorstCaseStudy.figure4`` and ``FormulaValidation``, and the golden
+corpus (``tests/golden/``) freezes the records bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +46,17 @@ import zlib
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..circuit.batch import PreparedWork, solve_prepared
 from ..circuit.dc import ConvergenceError, solver_rescue
@@ -77,11 +96,12 @@ from .worst_case import WorstCaseStudy
 #: Transient methods a scenario may select.
 CAMPAIGN_METHODS = ("backward-euler", "trapezoidal")
 
-#: Solver tiers the campaign can execute items through.  ``scalar`` runs
-#: one item at a time through the per-circuit Newton/transient solvers
-#: (the rtol<=1e-12 oracle); ``batched`` stacks every pending item's
-#: circuit lanes into the lockstep tier (:mod:`repro.circuit.batch`) and
-#: solves them jointly — records are bitwise identical either way.
+#: How attempt 0 of the prepared items is solved.  Both tiers run the same
+#: prepare → solve → commit loop (:meth:`CampaignWorkerState.run_chunks`):
+#: ``scalar`` solves each item's lanes on its own with the one-lane
+#: drivers; ``batched`` stacks every prepared item's lanes into the
+#: lockstep tier (:mod:`repro.circuit.batch`) and solves them jointly —
+#: records are bitwise identical either way.
 CAMPAIGN_SOLVERS = ("scalar", "batched")
 
 #: Short method tags used in item keys and file names.
@@ -488,6 +508,12 @@ class CampaignStore:
         tmp.replace(path)
 
 
+#: One item's attempt-0 preparation: the item, its lane set (or the item
+#: error preparation raised) and the preparation wall.
+_Prepared = Tuple[CampaignItem, Union[PreparedWork, BaseException], float]
+_Outcome = Union[CampaignRecord, ItemFailure]
+
+
 class CampaignWorkerState:
     """Per-process simulation state: one simulator bundle per configuration.
 
@@ -552,87 +578,8 @@ class CampaignWorkerState:
             self._options[option_name] = option
         return option
 
-    def run_item(self, item: CampaignItem) -> CampaignRecord:
-        simulators = self._simulators_for(item.scenario)
-        operation = create_operation(item.scenario.operation)
-        started = time.perf_counter()
-        with span(
-            "item.measure",
-            item=item.key,
-            operation=item.scenario.operation,
-            kind=item.kind,
-        ):
-            if item.kind == "nominal":
-                measurement = operation.measure_nominal(
-                    simulators,
-                    item.n_wordlines,
-                    stored_value=item.scenario.stored_value,
-                )
-            elif item.kind == "corner":
-                measurement = operation.measure_with_patterning(
-                    simulators,
-                    item.n_wordlines,
-                    self._option_for(item.option_name),
-                    dict(item.corner_parameters),
-                    stored_value=item.scenario.stored_value,
-                )
-            else:
-                raise CampaignError(f"unknown campaign item kind {item.kind!r}")
-        wall_s = time.perf_counter() - started
-        return _record_from_measurement(item, measurement, wall_s)
-
-    def run_item_outcome(
-        self, item: CampaignItem
-    ) -> Union[CampaignRecord, ItemFailure]:
-        """Run one item under the failure policy: record, failure or raise.
-
-        Attempt schedule under ``retry``: the first retry repeats the
-        attempt unchanged (a transient fault — an injected one, or a
-        machine-level hiccup — then reproduces the fault-free result
-        bit-for-bit), later retries escalate the solver rescue ladder
-        (:func:`~repro.circuit.dc.solver_rescue`: bigger Newton/step
-        budgets, jittered start points) with capped exponential backoff
-        between attempts.  Solver errors are classified into a typed
-        :class:`ItemFailure`; ``fail_fast`` raises it wrapped in
-        :class:`CampaignExecutionError` instead of returning it.
-        """
-        faults.maybe_crash_worker(item.key, self.in_pool_worker)
-        return self._item_attempts(item, start_attempt=0, last_error=None)
-
-    def _item_attempts(
-        self,
-        item: CampaignItem,
-        start_attempt: int,
-        last_error: Optional[BaseException],
-    ) -> Union[CampaignRecord, ItemFailure]:
-        """Run attempts ``start_attempt..attempts-1`` of ``item``.
-
-        The batched tier enters at ``start_attempt=1`` after a failed joint
-        solve (attempt 0 happened inside the batch); the scalar tier enters
-        at 0.  Either way the total attempt budget and the rescue-ladder
-        schedule are identical, so a batch-quarantined item retries exactly
-        like a scalar failure would.
-        """
-        attempts = 1 + (self.max_retries if self.failure_policy == "retry" else 0)
-        for attempt in range(start_attempt, attempts):
-            if attempt:
-                time.sleep(min(self.retry_backoff_s * (2.0 ** (attempt - 1)), 2.0))
-            try:
-                with solver_rescue(max(0, attempt - 1), seed=item.seed):
-                    with item_deadline(self.item_timeout_s):
-                        faults.check_solver(item.key, attempt)
-                        return self.run_item(item)
-            except _ITEM_ERRORS as exc:
-                last_error = exc
-        failure = ItemFailure.from_exception(
-            item.key, last_error, attempts=attempts
-        )
-        if self.failure_policy == "fail_fast":
-            raise CampaignExecutionError(failure) from last_error
-        return failure
-
     def prepare_item(self, item: CampaignItem) -> Tuple[PreparedWork, float]:
-        """Build the item's lane set (batched attempt 0) and its prep wall."""
+        """Build the item's lane set and its prep wall; every attempt starts here."""
         simulators = self._simulators_for(item.scenario)
         operation = create_operation(item.scenario.operation)
         started = time.perf_counter()
@@ -660,120 +607,164 @@ class CampaignWorkerState:
                 raise CampaignError(f"unknown campaign item kind {item.kind!r}")
         return prepared, time.perf_counter() - started
 
-    def prepare_chunk(
-        self, items: Sequence[CampaignItem]
-    ) -> List[Tuple[CampaignItem, Union[PreparedWork, BaseException], float]]:
-        """Phase 1 of the batched tier: build every item's lane set.
+    def run_chunks(
+        self, chunks: Sequence[Sequence[CampaignItem]]
+    ) -> Iterator[List[_Outcome]]:
+        """The campaign's one execution loop: prepare → solve → commit.
 
-        Returns ``(item, prepared-or-error, prep_wall)`` per item.  An
-        item error during preparation (including an injected fault for
-        attempt 0) is captured for the scalar retry ladder; a non-item
-        error (a bug) propagates, exactly as it would from
-        :meth:`run_item` on the scalar tier.
+        Prepares every chunk (circuits and lane specs), solves attempt 0
+        of every prepared item, then yields each chunk's outcomes in order
+        for the caller to commit.  The serial path passes all chunks, a
+        pool worker its own one.  ``solver`` only picks how attempt 0's
+        lanes are solved: ``batched`` in one joint :func:`solve_prepared`
+        call (same-topology lanes stack across chunks), ``scalar`` item by
+        item under ``item_timeout_s`` (which cannot fire inside a joint
+        solve).  An item whose attempt 0 failed goes to :meth:`_retry`.
+        If preparation raises a non-item error (a bug), the chunks
+        prepared before it are still solved and yielded before it
+        propagates.
         """
-        entries: List[
-            Tuple[CampaignItem, Union[PreparedWork, BaseException], float]
-        ] = []
-        for item in items:
-            faults.maybe_crash_worker(item.key, self.in_pool_worker)
-            started = time.perf_counter()
-            try:
-                faults.check_solver(item.key, 0)
-                work, prep_wall = self.prepare_item(item)
-            except _ITEM_ERRORS as exc:
-                entries.append((item, exc, time.perf_counter() - started))
-                continue
-            entries.append((item, work, prep_wall))
-        return entries
+        prepared: List[List[_Prepared]] = []
+        try:
+            for chunk in chunks:
+                with span("campaign.prepare", items=len(chunk)):
+                    prepared.append([self._prepare_first(item) for item in chunk])
+        except BaseException:
+            yield from self._solve(prepared)
+            raise
+        yield from self._solve(prepared)
 
-    def finish_chunks(
-        self,
-        chunked_entries: Sequence[
-            Sequence[Tuple[CampaignItem, Union[PreparedWork, BaseException], float]]
-        ],
-    ) -> Iterator[List[Union[CampaignRecord, ItemFailure]]]:
-        """Phase 2 of the batched tier: one joint solve, per-chunk outcomes.
+    def _prepare_first(self, item: CampaignItem) -> _Prepared:
+        """Attempt 0's preparation; an item error is kept for the retry ladder."""
+        faults.maybe_crash_worker(item.key, self.in_pool_worker)
+        started = time.perf_counter()
+        try:
+            faults.check_solver(item.key, 0)
+            return (item, *self.prepare_item(item))
+        except _ITEM_ERRORS as exc:
+            return item, exc, time.perf_counter() - started
 
-        All prepared chunks are solved in a single jointly-vectorized
-        call (same-topology lanes from different chunks stack into one
-        system), then the outcome lists are yielded chunk by chunk, in
-        order, so the caller can checkpoint at the same granularity as a
-        scalar run.  An item whose preparation or joint solve failed is
-        quarantined to the scalar retry ladder starting at attempt 1 —
-        the joint solve *was* attempt 0 — so failure-policy semantics
-        (``fail_fast``/``skip``/``retry`` budgets, escalating rescue) are
-        unchanged.  ``item_timeout_s`` applies to scalar retries only: a
-        per-item deadline cannot be enforced inside a joint solve.
+    def _solve(self, prepared: List[List[_Prepared]]) -> Iterator[List[_Outcome]]:
+        """Solve attempt 0 of the prepared items; yield per-chunk outcomes."""
+        if self.solver == "batched":
+            first_attempt = self._joint_solve(prepared)
+        else:
+            first_attempt = self._solve_alone
+        for entries in prepared:
+            with span("campaign.chunk", items=len(entries), first=entries[0][0].key):
+                outcomes = [
+                    self._retry(item, work)
+                    if isinstance(work, BaseException)
+                    else first_attempt(item, work, prep_wall)
+                    for item, work, prep_wall in entries
+                ]
+            yield outcomes
+
+    def _joint_solve(
+        self, prepared: List[List[_Prepared]]
+    ) -> Callable[[CampaignItem, PreparedWork, float], _Outcome]:
+        """Solve every prepared item's lanes in one call (the batched tier).
+
+        Returns the per-item continuation that turns the item's result
+        into its record — ``wall_s`` is its preparation plus an equal
+        share of the joint solve — or sends the item to :meth:`_retry`.
         """
         works = [
             work
-            for entries in chunked_entries
+            for entries in prepared
             for _, work, _ in entries
             if isinstance(work, PreparedWork)
         ]
-        stats_before = solver_stats().as_dict()
+        stats_before = solver_stats().snapshot()
         batch_started = time.perf_counter()
         with span(
-            "campaign.joint_solve", chunks=len(chunked_entries), works=len(works)
+            "campaign.joint_solve", chunks=len(prepared), works=len(works)
         ) as solve_span:
             results = iter(solve_prepared(works))
             batch_wall = time.perf_counter() - batch_started
-            batch_stats = {
-                key: value - stats_before.get(key, 0)
-                for key, value in solver_stats().as_dict().items()
-            }
+            batch_stats = solver_stats().delta_since(stats_before).as_dict()
             batch_size = sum(1 for work in works if work.lanes)
             solve_span.annotate(
                 batch_size=batch_size,
                 solver_stats={k: v for k, v in batch_stats.items() if v},
             )
         share = batch_wall / batch_size if batch_size else 0.0
-        for entries in chunked_entries:
-            outcomes: List[Union[CampaignRecord, ItemFailure]] = []
-            for item, work, prep_wall in entries:
-                if isinstance(work, BaseException):
-                    outcomes.append(
-                        self._item_attempts(item, start_attempt=1, last_error=work)
-                    )
-                    continue
-                result = next(results)
-                if isinstance(result, BaseException):
-                    if not isinstance(result, _ITEM_ERRORS):
-                        raise result
-                    outcomes.append(
-                        self._item_attempts(item, start_attempt=1, last_error=result)
-                    )
-                    continue
-                outcomes.append(
-                    _record_from_measurement(
-                        item,
-                        result,
-                        prep_wall + (share if work.lanes else 0.0),
-                        solver="batched",
-                        batch_size=batch_size,
-                        batch_stats=batch_stats,
-                    )
-                )
-            yield outcomes
 
-    def run_chunk_batched(
-        self, items: Sequence[CampaignItem]
-    ) -> List[Union[CampaignRecord, ItemFailure]]:
-        """Batched tier over one chunk (the pool-worker entry point)."""
-        (outcomes,) = list(self.finish_chunks([self.prepare_chunk(items)]))
-        return outcomes
+        def first_attempt(item, work, prep_wall) -> _Outcome:
+            result = next(results)
+            if isinstance(result, BaseException):
+                if not isinstance(result, _ITEM_ERRORS):
+                    raise result
+                return self._retry(item, result)
+            return _record_from_measurement(
+                item,
+                result,
+                prep_wall + (share if work.lanes else 0.0),
+                solver="batched",
+                batch_size=batch_size,
+                batch_stats=batch_stats,
+            )
 
-    def run_chunk(
-        self, items: Sequence[CampaignItem]
-    ) -> List[Union[CampaignRecord, ItemFailure]]:
+        return first_attempt
+
+    def _solve_alone(
+        self, item: CampaignItem, work: PreparedWork, prep_wall: float
+    ) -> _Outcome:
+        """Attempt 0 on the scalar tier: the item's own solve, under its deadline."""
+        try:
+            with item_deadline(self.item_timeout_s):
+                return self._measure(item, work, prep_wall)
+        except _ITEM_ERRORS as exc:
+            return self._retry(item, exc)
+
+    def _measure(
+        self, item: CampaignItem, work: PreparedWork, prep_wall: float
+    ) -> CampaignRecord:
+        """Solve one prepared item with the one-lane drivers into its record."""
+        started = time.perf_counter()
         with span(
-            "campaign.chunk",
-            items=len(items),
-            first=items[0].key if items else None,
+            "item.measure",
+            item=item.key,
+            operation=item.scenario.operation,
+            kind=item.kind,
         ):
-            if self.solver == "batched":
-                return self.run_chunk_batched(items)
-            return [self.run_item_outcome(item) for item in items]
+            measurement = work.run_scalar()
+        return _record_from_measurement(
+            item, measurement, prep_wall + (time.perf_counter() - started)
+        )
+
+    def _retry(self, item: CampaignItem, last_error: BaseException) -> _Outcome:
+        """Attempts 1.. of an item whose attempt 0 failed: record, failure or raise.
+
+        Every retry is :meth:`prepare_item` plus a one-lane solve under
+        the item deadline, so a retried record says ``solver="scalar"``
+        on either tier.  Attempt schedule under ``retry``: the first
+        retry repeats the attempt unchanged (a transient fault — an
+        injected one, or a machine-level hiccup — then reproduces the
+        fault-free result bit-for-bit), later retries escalate the solver
+        rescue ladder (:func:`~repro.circuit.dc.solver_rescue`: bigger
+        Newton/step budgets, jittered start points) with capped
+        exponential backoff between attempts.  Solver errors are
+        classified into a typed :class:`ItemFailure`; ``fail_fast``
+        raises it wrapped in :class:`CampaignExecutionError` instead of
+        returning it.
+        """
+        attempts = 1 + (self.max_retries if self.failure_policy == "retry" else 0)
+        for attempt in range(1, attempts):
+            time.sleep(min(self.retry_backoff_s * (2.0 ** (attempt - 1)), 2.0))
+            try:
+                with solver_rescue(attempt - 1, seed=item.seed):
+                    with item_deadline(self.item_timeout_s):
+                        faults.check_solver(item.key, attempt)
+                        return self._measure(item, *self.prepare_item(item))
+            except _ITEM_ERRORS as exc:
+                last_error = exc
+        failure = ItemFailure.from_exception(
+            item.key, last_error, attempts=attempts
+        )
+        if self.failure_policy == "fail_fast":
+            raise CampaignExecutionError(failure) from last_error
+        return failure
 
 
 #: Per-process worker state installed by the pool initializer (the node is
@@ -824,8 +815,15 @@ def _init_campaign_worker(
 
 def _run_chunk_worker(
     items: Sequence[CampaignItem],
-) -> List[Union[CampaignRecord, ItemFailure]]:
-    return _worker_state.run_chunk(items)
+) -> Tuple[List[_Outcome], Dict[str, int]]:
+    """One chunk through the worker's loop, plus the solver counters it cost.
+
+    Solver counters are per thread, so the parent folds the returned delta
+    into its own before committing the outcomes.
+    """
+    stats_before = solver_stats().snapshot()
+    (outcomes,) = _worker_state.run_chunks([items])
+    return outcomes, solver_stats().delta_since(stats_before).as_dict()
 
 
 class SimulationCampaign:
@@ -874,12 +872,13 @@ class SimulationCampaign:
     retry_backoff_s:
         Base of the capped exponential backoff between attempts.
     solver:
-        ``"batched"`` (default) stacks same-topology Newton/transient
-        work across items into jointly-vectorized solves;
-        ``"scalar"`` runs items one at a time.  Records are bitwise
-        identical either way, so — like the failure knobs — the solver
-        tier is *not* part of :meth:`signature` and a store written
-        under one tier resumes cleanly under the other.
+        How attempt 0's lanes are solved: ``"batched"`` (default) stacks
+        same-topology Newton/transient work across items into
+        jointly-vectorized solves; ``"scalar"`` solves items one at a
+        time.  Preparation, retries and commits are the same either way.
+        Records are bitwise identical either way, so — like the failure
+        knobs — the solver tier is *not* part of :meth:`signature` and a
+        store written under one tier resumes cleanly under the other.
     """
 
     def __init__(
@@ -928,10 +927,11 @@ class SimulationCampaign:
         self.item_timeout_s = item_timeout_s
         self.retry_backoff_s = float(retry_backoff_s)
         self.solver = solver
-        #: Solver-counter deltas of the most recent serial ``run()`` —
+        #: Solver-counter deltas of the most recent ``run()`` —
         #: factorizations, stamp evaluations, batch ticks and so on.
-        #: Pool runs accumulate counters in worker processes, so this
-        #: stays empty there.
+        #: Pool workers return their chunk's delta with its outcomes and
+        #: the parent folds it into its own counters, so pool runs
+        #: report the same lane counts as serial runs.
         self.last_run_stats: Dict[str, int] = {}
         self.signature_extra: Dict[str, object] = (
             dict(signature_extra) if signature_extra is not None else {}
@@ -1100,9 +1100,7 @@ class SimulationCampaign:
         except AttributeError:  # pragma: no cover - non-Linux fallback
             return os.cpu_count() or 1
 
-    def _commit(
-        self, outcomes: Sequence[Union[CampaignRecord, ItemFailure]]
-    ) -> None:
+    def _commit(self, outcomes: Sequence[_Outcome]) -> None:
         """Checkpoint finished outcomes into the memo (and the store).
 
         Failures land in the in-memory failure map only — persisting them
@@ -1238,41 +1236,17 @@ class SimulationCampaign:
                 }
                 for future in as_completed(futures):
                     try:
-                        self._commit(future.result())
+                        outcomes, stats_delta = future.result()
                     except BrokenExecutor:
                         lost.append(futures[future])
+                        continue
+                    stats = solver_stats()
+                    for key, value in stats_delta.items():
+                        setattr(stats, key, getattr(stats, key) + value)
+                    self._commit(outcomes)
             if lost:
                 isolate = True
                 pending = self._requeue_lost(lost, crash_counts) + pending
-
-    def _run_serial_batched(self, chunks: List[List[CampaignItem]]) -> None:
-        """Serial batched execution: one joint solve over every chunk.
-
-        All chunks are prepared first (cheap: circuit building and lane
-        specs), then solved in a single jointly-vectorized call — lanes
-        of the same topology stack across chunk boundaries, so e.g. the
-        SNM butterfly sweeps of every array size iterate as one stacked
-        Newton system.  Outcomes still commit chunk by chunk, in LPT
-        order; if preparation dies mid-campaign the chunks prepared
-        before the failure are solved and committed before the error
-        propagates, preserving the scalar tier's checkpoint granularity.
-        """
-        state = self._local_state
-        prepared: List[list] = []
-
-        def flush() -> None:
-            for outcomes in state.finish_chunks(prepared):
-                self._commit(outcomes)
-            prepared.clear()
-
-        try:
-            for chunk in chunks:
-                with span("campaign.prepare", items=len(chunk)):
-                    prepared.append(state.prepare_chunk(chunk))
-        except BaseException:
-            flush()
-            raise
-        flush()
 
     def run(
         self,
@@ -1319,6 +1293,7 @@ class SimulationCampaign:
             effective = min(effective, self.available_cpus())
 
         self.last_run_stats = {}
+        stats_before = solver_stats().snapshot()
         with span(
             "campaign.run",
             pending=len(pending),
@@ -1340,21 +1315,12 @@ class SimulationCampaign:
                         retry_backoff_s=self.retry_backoff_s,
                         solver=self.solver,
                     )
-                stats_before = solver_stats().as_dict()
-                if self.solver == "batched":
-                    self._run_serial_batched(chunks)
-                else:
-                    for chunk in chunks:
-                        self._commit(self._local_state.run_chunk(chunk))
-                self.last_run_stats = {
-                    key: value - stats_before.get(key, 0)
-                    for key, value in solver_stats().as_dict().items()
-                }
-                run_span.annotate(
-                    solver_stats={
-                        k: v for k, v in self.last_run_stats.items() if v
-                    }
-                )
+                for outcomes in self._local_state.run_chunks(chunks):
+                    self._commit(outcomes)
+            self.last_run_stats = solver_stats().delta_since(stats_before).as_dict()
+            run_span.annotate(
+                solver_stats={k: v for k, v in self.last_run_stats.items() if v}
+            )
         tracer = active_tracer()
         if tracer is not None:
             tracer.merge_workers()

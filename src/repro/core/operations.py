@@ -13,11 +13,16 @@ hold_snm   hold static noise margin (butterfly)     margin  volts
 read_snm   read static noise margin (butterfly)     margin  volts
 ========== ======================================== ======= =========
 
-Every operation implements the small :class:`Operation` interface
-(nominal / printed-corner / scaled-variation measurements returning a
-uniform :class:`OperationMeasurement`), so the campaign engine, the
-worst-case study and the Monte-Carlo layer can iterate over operations
-the same way they iterate over patterning options and array sizes.
+Every operation implements the small :class:`Operation` interface:
+three ``prepare_*`` methods (nominal / printed-corner / scaled-variation)
+that build each measurement as :class:`~repro.circuit.batch.PreparedWork`
+finishing to a uniform :class:`OperationMeasurement`.  That is the only
+way a measurement is built: the batched tier stacks the prepared lanes of
+many items into one joint solve, and the one-lane ``measure_*`` entry
+points are derived once, in the base class, as ``prepare_*(...).run_scalar()``.
+The campaign engine, the worst-case study and the Monte-Carlo layer can
+therefore iterate over operations the same way they iterate over
+patterning options and array sizes.
 
 :class:`OperationSimulators` bundles the three simulators behind one
 shared geometry stack — layouts, nominal and printed extractions are
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -155,7 +160,12 @@ class OperationSimulators:
 
 
 class Operation(abc.ABC):
-    """One SRAM operation: a named measurement over the shared stack."""
+    """One SRAM operation: a named measurement over the shared stack.
+
+    Subclasses build each measurement as :class:`PreparedWork` (lane specs
+    plus a ``finish`` continuation); the one-lane ``measure_*`` entry
+    points are derived here by solving that work with the one-lane drivers.
+    """
 
     #: Registry name (e.g. ``"write"``).
     name: str = ""
@@ -165,12 +175,47 @@ class Operation(abc.ABC):
     unit: str = "s"
 
     @abc.abstractmethod
+    def prepare_nominal(
+        self, sims: OperationSimulators, n_cells: int, stored_value: int = 0
+    ) -> PreparedWork:
+        """The nominal (un-distorted) measurement of one column, as prepared work."""
+
+    @abc.abstractmethod
+    def prepare_with_patterning(
+        self,
+        sims: OperationSimulators,
+        n_cells: int,
+        option: PatterningOption,
+        parameters: ParameterValues,
+        stored_value: int = 0,
+        label: Optional[str] = None,
+    ) -> PreparedWork:
+        """The measurement with the column printed by ``option``, as prepared work."""
+
+    @abc.abstractmethod
+    def prepare_value_with_variation(
+        self,
+        sims: OperationSimulators,
+        n_cells: int,
+        rvar: float,
+        cvar: float,
+        rail_rvar: float = 1.0,
+    ) -> PreparedWork:
+        """Primary value with the nominal column scaled by explicit ratios.
+
+        ``rvar``/``cvar`` scale the bit-line wire parasitics, ``rail_rvar``
+        the supply-rail resistances.  The response-surface calibration uses
+        this fast path (no printing, no extraction); the high-sigma engine
+        stacks many of these into one batched solve when it promotes
+        surrogate-uncertain samples.
+        """
+
     def measure_nominal(
         self, sims: OperationSimulators, n_cells: int, stored_value: int = 0
     ) -> OperationMeasurement:
-        """The nominal (un-distorted) measurement for one column."""
+        """The nominal measurement for one column."""
+        return self.prepare_nominal(sims, n_cells, stored_value=stored_value).run_scalar()
 
-    @abc.abstractmethod
     def measure_with_patterning(
         self,
         sims: OperationSimulators,
@@ -181,46 +226,10 @@ class Operation(abc.ABC):
         label: Optional[str] = None,
     ) -> OperationMeasurement:
         """The measurement with the column printed by ``option``."""
+        return self.prepare_with_patterning(
+            sims, n_cells, option, parameters, stored_value=stored_value, label=label
+        ).run_scalar()
 
-    def prepare_nominal(
-        self, sims: OperationSimulators, n_cells: int, stored_value: int = 0
-    ) -> PreparedWork:
-        """Nominal measurement as prepared work for the batched solver tier.
-
-        The default carries no lanes and simply defers to the scalar
-        :meth:`measure_nominal` at finish time, so custom operations stay
-        correct (if unbatched) without overriding this.
-        """
-        return PreparedWork(
-            lanes=[],
-            finish=lambda _results: self.measure_nominal(
-                sims, n_cells, stored_value=stored_value
-            ),
-        )
-
-    def prepare_with_patterning(
-        self,
-        sims: OperationSimulators,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        stored_value: int = 0,
-        label: Optional[str] = None,
-    ) -> PreparedWork:
-        """Printed-corner measurement as prepared work (default: unbatched)."""
-        return PreparedWork(
-            lanes=[],
-            finish=lambda _results: self.measure_with_patterning(
-                sims,
-                n_cells,
-                option,
-                parameters,
-                stored_value=stored_value,
-                label=label,
-            ),
-        )
-
-    @abc.abstractmethod
     def value_with_variation(
         self,
         sims: OperationSimulators,
@@ -229,34 +238,10 @@ class Operation(abc.ABC):
         cvar: float,
         rail_rvar: float = 1.0,
     ) -> float:
-        """Primary value with the nominal column scaled by explicit ratios.
-
-        ``rvar``/``cvar`` scale the bit-line wire parasitics, ``rail_rvar``
-        the supply-rail resistances.  The response-surface calibration uses
-        this fast path (no printing, no extraction).
-        """
-
-    def prepare_value_with_variation(
-        self,
-        sims: OperationSimulators,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        rail_rvar: float = 1.0,
-    ) -> PreparedWork:
-        """Ratio-scaled primary value as prepared work.
-
-        The high-sigma engine stacks many of these into one batched solve
-        when it promotes surrogate-uncertain samples.  The default defers
-        to the scalar :meth:`value_with_variation` (zero lanes), so custom
-        operations stay correct without overriding it.
-        """
-        return PreparedWork(
-            lanes=[],
-            finish=lambda _results: self.value_with_variation(
-                sims, n_cells, rvar, cvar, rail_rvar=rail_rvar
-            ),
-        )
+        """The primary value of :meth:`prepare_value_with_variation`."""
+        return self.prepare_value_with_variation(
+            sims, n_cells, rvar, cvar, rail_rvar=rail_rvar
+        ).run_scalar()
 
 
 class ReadOperation(Operation):
@@ -283,18 +268,6 @@ class ReadOperation(Operation):
             vss_rail_resistance_ohm=measurement.vss_rail_resistance_ohm,
         )
 
-    def measure_nominal(self, sims, n_cells, stored_value=0):
-        return self._wrap(sims.read.measure_nominal(n_cells, stored_value=stored_value))
-
-    def measure_with_patterning(
-        self, sims, n_cells, option, parameters, stored_value=0, label=None
-    ):
-        return self._wrap(
-            sims.read.measure_with_patterning(
-                n_cells, option, parameters, label=label, stored_value=stored_value
-            )
-        )
-
     def prepare_nominal(self, sims, n_cells, stored_value=0):
         return sims.read.prepare_nominal(
             n_cells, stored_value=stored_value
@@ -306,11 +279,6 @@ class ReadOperation(Operation):
         return sims.read.prepare_with_patterning(
             n_cells, option, parameters, label=label, stored_value=stored_value
         ).mapped(self._wrap)
-
-    def value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
-        return sims.read.measure_with_variation(
-            n_cells, rvar, cvar, vss_rvar=rail_rvar
-        ).td_s
 
     def prepare_value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
         return sims.read.prepare_with_variation(
@@ -342,18 +310,6 @@ class WriteOperation(Operation):
             vss_rail_resistance_ohm=measurement.vss_rail_resistance_ohm,
         )
 
-    def measure_nominal(self, sims, n_cells, stored_value=0):
-        return self._wrap(sims.write.measure_nominal(n_cells, write_value=stored_value))
-
-    def measure_with_patterning(
-        self, sims, n_cells, option, parameters, stored_value=0, label=None
-    ):
-        return self._wrap(
-            sims.write.measure_with_patterning(
-                n_cells, option, parameters, label=label, write_value=stored_value
-            )
-        )
-
     def prepare_nominal(self, sims, n_cells, stored_value=0):
         return sims.write.prepare_nominal(
             n_cells, write_value=stored_value
@@ -366,11 +322,6 @@ class WriteOperation(Operation):
             n_cells, option, parameters, label=label, write_value=stored_value
         ).mapped(self._wrap)
 
-    def value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
-        return sims.write.measure_with_variation(
-            n_cells, rvar, cvar, vss_rvar=rail_rvar
-        ).write_delay_s
-
     def prepare_value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
         return sims.write.prepare_with_variation(
             n_cells, rvar, cvar, vss_rvar=rail_rvar
@@ -378,7 +329,11 @@ class WriteOperation(Operation):
 
 
 class _SnmOperation(Operation):
-    """Shared implementation of the two butterfly-curve margins."""
+    """Shared implementation of the two butterfly-curve margins.
+
+    The butterfly breaks the loop symmetrically; the stored value has no
+    meaning for a static margin and is deliberately ignored.
+    """
 
     metric = "margin"
     unit = "V"
@@ -396,20 +351,6 @@ class _SnmOperation(Operation):
             vss_rail_resistance_ohm=measurement.vss_rail_resistance_ohm,
         )
 
-    def measure_nominal(self, sims, n_cells, stored_value=0):
-        # The butterfly breaks the loop symmetrically; the stored value has
-        # no meaning for a static margin and is deliberately ignored.
-        return self._wrap(sims.margins.measure_nominal(n_cells, mode=self.mode))
-
-    def measure_with_patterning(
-        self, sims, n_cells, option, parameters, stored_value=0, label=None
-    ):
-        return self._wrap(
-            sims.margins.measure_with_patterning(
-                n_cells, option, parameters, mode=self.mode, label=label
-            )
-        )
-
     def prepare_nominal(self, sims, n_cells, stored_value=0):
         return sims.margins.prepare_nominal(n_cells, mode=self.mode).mapped(self._wrap)
 
@@ -419,11 +360,6 @@ class _SnmOperation(Operation):
         return sims.margins.prepare_with_patterning(
             n_cells, option, parameters, mode=self.mode, label=label
         ).mapped(self._wrap)
-
-    def value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
-        return sims.margins.measure_with_variation(
-            n_cells, rvar, cvar, vss_rvar=rail_rvar, mode=self.mode
-        ).snm_v
 
     def prepare_value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
         return sims.margins.prepare_with_variation(

@@ -51,9 +51,6 @@ class GDSCell:
                 seen.append(wire.net)
         return seen
 
-    def wires_on_layer(self, layer: str) -> List[Wire]:
-        return [wire for wire in self.wires if wire.layer == layer]
-
 
 @dataclass
 class GDSLibrary:

@@ -5,7 +5,7 @@ rate, so sampling cannot phase-lock with millisecond-periodic work) and
 aggregates each thread's stack into the collapsed/folded format that
 ``flamegraph.pl``, speedscope and friends consume directly::
 
-    phase:solver.dc;campaign.run_chunk;dc.dc_sweep;dc._newton_solve 412
+    phase:item.measure;campaign._measure;batch.run_scalar;dc.dc_sweep;dc._solve_lane 412
 
 The first frame of every folded stack is the sampled thread's innermost
 *open span* (``phase:<name>``, or ``phase:(no-span)``), read from the

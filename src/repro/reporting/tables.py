@@ -585,9 +585,10 @@ def format_trace_summary(records, top_n: int = 10) -> str:
 
     solver_totals: Dict[str, int] = {}
     solver_label = None
-    # campaign.run spans carry the serial tier's full solver delta; fall
-    # back to the joint-solve spans' batch deltas when the run-level
-    # counters are absent (pool mode accumulates them in workers).
+    # campaign.run spans carry the run's full solver delta (pool workers
+    # return theirs with each chunk and the parent folds them in); fall
+    # back to the joint-solve spans' batch deltas for traces that carry
+    # no run-level counters.
     for source in ("campaign.run", "campaign.joint_solve"):
         for record in records:
             if record.get("name") != source:

@@ -357,6 +357,12 @@ class ExperimentQueue:
             raise
         except Exception as exc:
             raise JobError(f"job {job_id} failed: {type(exc).__name__}: {exc}") from exc
+        finally:
+            if future.done():
+                # A finished future wakes result() waiters before it runs
+                # its done-callbacks; settle here (idempotent) so the job
+                # is terminal and journaled by the time result() returns.
+                self._make_settler(job_id)(future)
         return result
 
     def cancel(self, job_id: str) -> bool:

@@ -94,14 +94,6 @@ class SRAMReadCircuit:
     precharge: PrechargeCircuit
     initial_voltages: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def sense_nodes(self) -> tuple:
-        return (self.sense.bitline_node, self.sense.bitline_bar_node)
-
-    @property
-    def accessed_cell_nodes(self) -> CellNodes:
-        return self.cell.nodes
-
 
 def build_read_circuit(spec: ReadCircuitSpec) -> SRAMReadCircuit:
     """Assemble the read-path circuit described by ``spec``."""

@@ -304,29 +304,6 @@ class SRAMMarginAnalyzer:
             n_cells, column, mode=mode, points=points
         ).run_scalar()
 
-    def _measurement_from_curves(
-        self,
-        n_cells: int,
-        chosen: ColumnParasitics,
-        mode: str,
-        label: str,
-        curves: ButterflyCurves,
-    ) -> MarginMeasurement:
-        """The largest-square evaluation shared by both solver tiers."""
-        lobe1, lobe2 = curves.lobe_sides_v()
-        return MarginMeasurement(
-            n_cells=n_cells,
-            label=label,
-            mode=mode,
-            snm_v=min(lobe1, lobe2),
-            lobe1_v=lobe1,
-            lobe2_v=lobe2,
-            bitline_resistance_ohm=chosen.bitline.total_resistance_ohm,
-            bitline_bar_resistance_ohm=chosen.bitline_bar.total_resistance_ohm,
-            vss_rail_resistance_ohm=chosen.vss_rail_resistance_ohm,
-            vdd_rail_resistance_ohm=chosen.vdd_rail_resistance_ohm,
-        )
-
     def prepare_measure(
         self,
         n_cells: int,
@@ -337,12 +314,25 @@ class SRAMMarginAnalyzer:
     ) -> PreparedWork:
         """One SNM measurement as prepared work (butterfly + largest square)."""
         chosen = column if column is not None else self.column_parasitics(n_cells)
-        prepared = self._prepare_butterfly(n_cells, chosen, mode=mode, points=points)
-        return prepared.mapped(
-            lambda curves: self._measurement_from_curves(
-                n_cells, chosen, mode, label, curves
+
+        def measurement(curves: ButterflyCurves) -> MarginMeasurement:
+            lobe1, lobe2 = curves.lobe_sides_v()
+            return MarginMeasurement(
+                n_cells=n_cells,
+                label=label,
+                mode=mode,
+                snm_v=min(lobe1, lobe2),
+                lobe1_v=lobe1,
+                lobe2_v=lobe2,
+                bitline_resistance_ohm=chosen.bitline.total_resistance_ohm,
+                bitline_bar_resistance_ohm=chosen.bitline_bar.total_resistance_ohm,
+                vss_rail_resistance_ohm=chosen.vss_rail_resistance_ohm,
+                vdd_rail_resistance_ohm=chosen.vdd_rail_resistance_ohm,
             )
-        )
+
+        return self._prepare_butterfly(
+            n_cells, chosen, mode=mode, points=points
+        ).mapped(measurement)
 
     def measure(
         self,
@@ -353,9 +343,9 @@ class SRAMMarginAnalyzer:
         points: Optional[int] = None,
     ) -> MarginMeasurement:
         """One SNM measurement (butterfly + largest square)."""
-        chosen = column if column is not None else self.column_parasitics(n_cells)
-        curves = self.butterfly(n_cells, chosen, mode=mode, points=points)
-        return self._measurement_from_curves(n_cells, chosen, mode, label, curves)
+        return self.prepare_measure(
+            n_cells, column, mode=mode, label=label, points=points
+        ).run_scalar()
 
     # -- public measurement entry points -------------------------------------------
 
@@ -377,14 +367,7 @@ class SRAMMarginAnalyzer:
 
     def measure_nominal(self, n_cells: int, mode: str = "hold") -> MarginMeasurement:
         """Nominal SNM of an ``n_cells`` column (memoized per mode)."""
-        if mode not in MARGIN_MODES:
-            raise MarginAnalysisError(f"mode must be one of {MARGIN_MODES}")
-        key = (n_cells, mode)
-        cached = self._nominal_cache.get(key)
-        if cached is None:
-            cached = self.measure(n_cells, mode=mode, label="nominal")
-            self._nominal_cache[key] = cached
-        return cached
+        return self.prepare_nominal(n_cells, mode=mode).run_scalar()
 
     def measure_hold_snm(self, n_cells: int) -> MarginMeasurement:
         return self.measure_nominal(n_cells, mode="hold")
@@ -419,43 +402,9 @@ class SRAMMarginAnalyzer:
         label: Optional[str] = None,
     ) -> MarginMeasurement:
         """SNM with the column printed by ``option`` at ``parameters``."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.measure(
-            n_cells,
-            column,
-            mode=mode,
-            label=label if label is not None else option.name,
-        )
-
-    def measure_with_variation(
-        self,
-        n_cells: int,
-        rvar: float = 1.0,
-        cvar: float = 1.0,
-        vss_rvar: float = 1.0,
-        mode: str = "hold",
-        label: str = "scaled",
-    ) -> MarginMeasurement:
-        """SNM with the nominal column scaled by explicit RC ratios.
-
-        ``vss_rvar`` scales both supply-rail resistances (under patterning
-        the VSS and VDD rails distort together — they are drawn on the same
-        metal1 tracks as the bit lines).
-        """
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
-        return self.measure(n_cells, scaled, mode=mode, label=label)
-
-    def _scaled_column(
-        self, n_cells: int, rvar: float, cvar: float, vss_rvar: float
-    ) -> ColumnParasitics:
-        column = self.column_parasitics(n_cells)
-        return ColumnParasitics(
-            bitline=column.bitline.scaled(rvar, cvar),
-            bitline_bar=column.bitline_bar.scaled(rvar, cvar),
-            vss_rail_resistance_ohm=column.vss_rail_resistance_ohm * vss_rvar,
-            vdd_rail_resistance_ohm=column.vdd_rail_resistance_ohm * vss_rvar,
-        )
+        return self.prepare_with_patterning(
+            n_cells, option, parameters, mode=mode, label=label
+        ).run_scalar()
 
     def prepare_with_variation(
         self,
@@ -466,6 +415,25 @@ class SRAMMarginAnalyzer:
         mode: str = "hold",
         label: str = "scaled",
     ) -> PreparedWork:
-        """Ratio-scaled SNM as prepared work (batched promotion path)."""
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
+        """SNM with the nominal column scaled by explicit RC ratios, as
+        prepared work (the batched promotion path).
+
+        ``vss_rvar`` scales both supply-rail resistances (see
+        :meth:`ColumnParasitics.scaled`).
+        """
+        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
         return self.prepare_measure(n_cells, scaled, mode=mode, label=label)
+
+    def measure_with_variation(
+        self,
+        n_cells: int,
+        rvar: float = 1.0,
+        cvar: float = 1.0,
+        vss_rvar: float = 1.0,
+        mode: str = "hold",
+        label: str = "scaled",
+    ) -> MarginMeasurement:
+        """SNM with the nominal column scaled by explicit RC ratios."""
+        return self.prepare_with_variation(
+            n_cells, rvar, cvar, vss_rvar=vss_rvar, mode=mode, label=label
+        ).run_scalar()

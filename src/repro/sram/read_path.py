@@ -11,17 +11,15 @@ sense-amplifier sensitivity — and the derived ``tdp`` penalty ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from ..circuit.batch import PreparedWork, TransientLaneSpec
+from ..circuit.batch import PreparedWork, TransientLaneSpec, run_lane_scalar
 from ..circuit.mna import JacobianTemplate
 from ..circuit.transient import TransientOptions, TransientSolver
-from ..circuit.waveform import TransientResult
 from ..extraction.field import ExtractionResult
-from ..extraction.lpe import ParameterizedLPE, RCVariation
+from ..extraction.lpe import ParameterizedLPE
 from ..layout.array import SRAMArrayLayout, generate_array_layout
-from ..layout.wire import NetRole
 from ..patterning.base import ParameterValues, PatterningOption
 from ..technology.node import TechnologyNode
 from .array import ReadCircuitSpec, SRAMReadCircuit, build_read_circuit
@@ -78,6 +76,21 @@ class ColumnParasitics:
     bitline_bar: BitlineSpec
     vss_rail_resistance_ohm: float
     vdd_rail_resistance_ohm: float = 0.0
+
+    def scaled(self, rvar: float, cvar: float, rail_rvar: float) -> "ColumnParasitics":
+        """This column with explicit variation ratios applied.
+
+        ``rvar``/``cvar`` scale both bit lines' wire R and C; ``rail_rvar``
+        scales both supply-rail resistances (under patterning the VSS and
+        VDD rails distort together — they are drawn on the same metal1
+        tracks as the bit lines).
+        """
+        return ColumnParasitics(
+            bitline=self.bitline.scaled(rvar, cvar),
+            bitline_bar=self.bitline_bar.scaled(rvar, cvar),
+            vss_rail_resistance_ohm=self.vss_rail_resistance_ohm * rail_rvar,
+            vdd_rail_resistance_ohm=self.vdd_rail_resistance_ohm * rail_rvar,
+        )
 
 
 class ReadPathSimulator:
@@ -391,37 +404,20 @@ class ReadPathSimulator:
             n_cells, column, label, stored_value=stored_value
         )
         (lane,) = prepared.lanes
-        result = lane.solver.run(
-            initial_voltages=lane.initial_voltages,
-            stop_condition=lane.stop_condition,
-        )
+        result = run_lane_scalar(lane)
         measurement = prepared.finish([result])
-        if return_waveforms:
-            return measurement, result
-        return measurement
+        return (measurement, result) if return_waveforms else measurement
 
     # -- public measurement entry points ----------------------------------------------------
 
-    def measure_nominal(self, n_cells: int, stored_value: int = 0) -> ReadMeasurement:
-        """Nominal read time of an ``n_cells`` column (no patterning variation).
+    def prepare_nominal(self, n_cells: int, stored_value: int = 0) -> PreparedWork:
+        """Nominal read time as prepared work; a memo hit carries zero lanes.
 
         Memoized per ``(n_cells, stored_value)``: corner sweeps compare many
         printed columns against the same nominal, which therefore simulates
         once.  :meth:`invalidate_caches` drops the memo together with the
         extraction caches.
         """
-        key = (n_cells, stored_value)
-        cached = self._nominal_measurement_cache.get(key)
-        if cached is None:
-            column = self.column_parasitics(n_cells)
-            cached = self.simulate_column(
-                n_cells, column, label="nominal", stored_value=stored_value
-            )
-            self._nominal_measurement_cache[key] = cached
-        return cached
-
-    def prepare_nominal(self, n_cells: int, stored_value: int = 0) -> PreparedWork:
-        """Nominal read time as prepared work; a memo hit carries zero lanes."""
         key = (n_cells, stored_value)
         cached = self._nominal_measurement_cache.get(key)
         if cached is not None:
@@ -436,6 +432,10 @@ class ReadPathSimulator:
             return measurement
 
         return prepared.mapped(memoize)
+
+    def measure_nominal(self, n_cells: int, stored_value: int = 0) -> ReadMeasurement:
+        """Nominal read time of an ``n_cells`` column (no patterning variation)."""
+        return self.prepare_nominal(n_cells, stored_value=stored_value).run_scalar()
 
     def printed_extraction(
         self,
@@ -491,43 +491,9 @@ class ReadPathSimulator:
         stored_value: int = 0,
     ) -> ReadMeasurement:
         """Read time with the column printed by ``option`` at ``parameters``."""
-        extraction = self.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.simulate_column(
-            n_cells,
-            column,
-            label=label if label is not None else option.name,
-            stored_value=stored_value,
-        )
-
-    def _scaled_column(
-        self, n_cells: int, rvar: float, cvar: float, vss_rvar: float
-    ) -> ColumnParasitics:
-        column = self.column_parasitics(n_cells)
-        return ColumnParasitics(
-            bitline=column.bitline.scaled(rvar, cvar),
-            bitline_bar=column.bitline_bar.scaled(rvar, cvar),
-            vss_rail_resistance_ohm=column.vss_rail_resistance_ohm * vss_rvar,
-            vdd_rail_resistance_ohm=column.vdd_rail_resistance_ohm * vss_rvar,
-        )
-
-    def measure_with_variation(
-        self,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        vss_rvar: float = 1.0,
-        label: str = "scaled",
-    ) -> ReadMeasurement:
-        """Read time with the nominal column scaled by explicit RC ratios.
-
-        This is the fast path used for cross-checking the analytical
-        formula: instead of re-extracting a printed layout, the nominal
-        bit-line R and C are multiplied by ``rvar``/``cvar`` (and the VSS
-        rail by ``vss_rvar``).
-        """
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
-        return self.simulate_column(n_cells, scaled, label=label)
+        return self.prepare_with_patterning(
+            n_cells, option, parameters, label=label, stored_value=stored_value
+        ).run_scalar()
 
     def prepare_with_variation(
         self,
@@ -537,14 +503,30 @@ class ReadPathSimulator:
         vss_rvar: float = 1.0,
         label: str = "scaled",
     ) -> PreparedWork:
-        """Ratio-scaled read time as prepared work.
+        """Read time with the nominal column scaled by explicit RC ratios.
 
-        The high-sigma engine promotes surrogate-uncertain Monte-Carlo
-        draws through this: many scaled columns become lanes in one
-        batched transient solve instead of a per-sample loop.
+        This is the fast path used for cross-checking the analytical
+        formula: instead of re-extracting a printed layout, the nominal
+        bit-line R and C are multiplied by ``rvar``/``cvar`` (and the VSS
+        rail by ``vss_rvar``).  The high-sigma engine promotes
+        surrogate-uncertain Monte-Carlo draws through this: many scaled
+        columns become lanes in one batched transient solve.
         """
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
+        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
         return self.prepare_simulate_column(n_cells, scaled, label=label)
+
+    def measure_with_variation(
+        self,
+        n_cells: int,
+        rvar: float,
+        cvar: float,
+        vss_rvar: float = 1.0,
+        label: str = "scaled",
+    ) -> ReadMeasurement:
+        """Read time of :meth:`prepare_with_variation`, solved on its own."""
+        return self.prepare_with_variation(
+            n_cells, rvar, cvar, vss_rvar=vss_rvar, label=label
+        ).run_scalar()
 
     def penalty_percent(
         self,

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.batch import PreparedWork, TransientLaneSpec
+from ..circuit.batch import PreparedWork, TransientLaneSpec, run_lane_scalar
 from ..circuit.dc import NewtonOptions, dc_sweep
 from ..circuit.elements import PiecewiseLinear, Resistor, VoltageSource
 from ..circuit.mna import JacobianTemplate
@@ -62,10 +62,6 @@ class WriteMeasurement:
     bitline_capacitance_f: float
     vss_rail_resistance_ohm: float
     stop_reason: str
-
-    @property
-    def write_delay_ps(self) -> float:
-        return self.write_delay_s * 1e12
 
     def penalty_vs(self, nominal: "WriteMeasurement") -> float:
         """Write-delay penalty ratio versus a nominal measurement."""
@@ -437,14 +433,9 @@ class WritePathSimulator:
             n_cells, column, label, write_value=write_value
         )
         (lane,) = prepared.lanes
-        result = lane.solver.run(
-            initial_voltages=lane.initial_voltages,
-            stop_condition=lane.stop_condition,
-        )
+        result = run_lane_scalar(lane)
         measurement = prepared.finish([result])
-        if return_waveforms:
-            return measurement, result
-        return measurement
+        return (measurement, result) if return_waveforms else measurement
 
     # -- DC write margin -----------------------------------------------------------
 
@@ -583,15 +574,7 @@ class WritePathSimulator:
 
     def measure_nominal(self, n_cells: int, write_value: int = 0) -> WriteMeasurement:
         """Nominal write delay of an ``n_cells`` column (memoized)."""
-        key = (n_cells, write_value)
-        cached = self._nominal_measurement_cache.get(key)
-        if cached is None:
-            column = self.column_parasitics(n_cells)
-            cached = self.simulate_column(
-                n_cells, column, label="nominal", write_value=write_value
-            )
-            self._nominal_measurement_cache[key] = cached
-        return cached
+        return self.prepare_nominal(n_cells, write_value=write_value).run_scalar()
 
     def measure_nominal_margin(
         self, n_cells: int, write_value: int = 0
@@ -631,24 +614,24 @@ class WritePathSimulator:
         write_value: int = 0,
     ) -> WriteMeasurement:
         """Write delay with the column printed by ``option`` at ``parameters``."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.simulate_column(
-            n_cells,
-            column,
-            label=label if label is not None else option.name,
-            write_value=write_value,
-        )
+        return self.prepare_with_patterning(
+            n_cells, option, parameters, label=label, write_value=write_value
+        ).run_scalar()
 
-    def _scaled_column(
-        self, n_cells: int, rvar: float, cvar: float, vss_rvar: float
-    ) -> ColumnParasitics:
-        column = self.column_parasitics(n_cells)
-        return ColumnParasitics(
-            bitline=column.bitline.scaled(rvar, cvar),
-            bitline_bar=column.bitline_bar.scaled(rvar, cvar),
-            vss_rail_resistance_ohm=column.vss_rail_resistance_ohm * vss_rvar,
-            vdd_rail_resistance_ohm=column.vdd_rail_resistance_ohm * vss_rvar,
+    def prepare_with_variation(
+        self,
+        n_cells: int,
+        rvar: float,
+        cvar: float,
+        vss_rvar: float = 1.0,
+        label: str = "scaled",
+        write_value: int = 0,
+    ) -> PreparedWork:
+        """Write delay with the nominal column scaled by explicit RC ratios,
+        as prepared work (the batched promotion path)."""
+        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
+        return self.prepare_simulate_column(
+            n_cells, scaled, label=label, write_value=write_value
         )
 
     def measure_with_variation(
@@ -661,23 +644,9 @@ class WritePathSimulator:
         write_value: int = 0,
     ) -> WriteMeasurement:
         """Write delay with the nominal column scaled by explicit RC ratios."""
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
-        return self.simulate_column(n_cells, scaled, label=label, write_value=write_value)
-
-    def prepare_with_variation(
-        self,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        vss_rvar: float = 1.0,
-        label: str = "scaled",
-        write_value: int = 0,
-    ) -> PreparedWork:
-        """Ratio-scaled write delay as prepared work (batched promotion path)."""
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
-        return self.prepare_simulate_column(
-            n_cells, scaled, label=label, write_value=write_value
-        )
+        return self.prepare_with_variation(
+            n_cells, rvar, cvar, vss_rvar=vss_rvar, label=label, write_value=write_value
+        ).run_scalar()
 
     def penalty_percent(
         self,

@@ -94,14 +94,22 @@ class TestCampaignParity:
         )
 
     def test_parallel_records_equal_serial_records(self, node, doe):
-        serial = SimulationCampaign(node, doe=doe).run()
-        parallel = SimulationCampaign(node, doe=doe).run(
-            workers=2, clamp_to_cpus=False
-        )
+        serial_campaign = SimulationCampaign(node, doe=doe)
+        serial = serial_campaign.run()
+        parallel_campaign = SimulationCampaign(node, doe=doe)
+        parallel = parallel_campaign.run(workers=2, clamp_to_cpus=False)
         for a, b in zip(serial, parallel):
             assert a.key == b.key
             assert a.td_s == b.td_s                 # bit-identical, not just close
             assert a.seed == b.seed
+        # Pool workers return their solver counters with their outcomes,
+        # so both runs report the same lane work (tick counts differ: the
+        # pool batches per chunk, the serial path across chunks).
+        for counter in ("batch_lanes", "batch_lane_iterations"):
+            assert serial_campaign.last_run_stats[counter] > 0
+            assert parallel_campaign.last_run_stats.get(counter) == (
+                serial_campaign.last_run_stats[counter]
+            )
 
 
 class TestWorkItems:
@@ -201,7 +209,7 @@ class TestStoreAndResume:
         def boom(self, item):  # pragma: no cover - failing path
             raise AssertionError("resume re-simulated a completed item")
 
-        monkeypatch.setattr(CampaignWorkerState, "run_item", boom)
+        monkeypatch.setattr(CampaignWorkerState, "prepare_item", boom)
         resumed = SimulationCampaign(node, doe=doe, store_dir=tmp_path / "store")
         replay = resumed.run()
         assert [r.td_s for r in replay] == [r.td_s for r in results]
@@ -241,7 +249,7 @@ class TestStoreAndResume:
 
         monkeypatch.setattr(
             CampaignWorkerState,
-            "run_item",
+            "prepare_item",
             lambda self, item: pytest.fail("legacy resume re-simulated an item"),
         )
         resumed = SimulationCampaign(node, doe=doe, store_dir=store_dir)
@@ -274,23 +282,15 @@ class TestStoreAndResume:
     ):
         doe = StudyDOE(array_sizes=(16, 64))
         campaign = SimulationCampaign(node, doe=doe, store_dir=tmp_path / "store")
-        true_run_item = CampaignWorkerState.run_item
         true_prepare_item = CampaignWorkerState.prepare_item
 
-        # Inject at both tier entry points (the scalar tier runs items,
-        # the batched tier prepares them) so the checkpoint contract
-        # holds regardless of the campaign's solver.
-        def failing_run_item(self, item):
-            if item.n_wordlines == 16:               # the second (smaller) chunk
-                raise RuntimeError("injected mid-campaign failure")
-            return true_run_item(self, item)
-
+        # Every attempt of every item starts with its preparation, on
+        # either solver tier.
         def failing_prepare_item(self, item):
-            if item.n_wordlines == 16:
+            if item.n_wordlines == 16:               # the second (smaller) chunk
                 raise RuntimeError("injected mid-campaign failure")
             return true_prepare_item(self, item)
 
-        monkeypatch.setattr(CampaignWorkerState, "run_item", failing_run_item)
         monkeypatch.setattr(CampaignWorkerState, "prepare_item", failing_prepare_item)
         with pytest.raises(RuntimeError, match="injected"):
             campaign.run()
@@ -299,7 +299,6 @@ class TestStoreAndResume:
         assert any(key.startswith("n64-") for key in saved)
         assert not any(key.startswith("n16-") for key in saved)
         # ...and a rerun only simulates the unfinished items.
-        monkeypatch.setattr(CampaignWorkerState, "run_item", true_run_item)
         monkeypatch.setattr(CampaignWorkerState, "prepare_item", true_prepare_item)
         resumed = SimulationCampaign(node, doe=doe, store_dir=tmp_path / "store")
         assert len(resumed.run()) == 8
@@ -339,7 +338,7 @@ class TestStoreAndResume:
         first = campaign.run()
         monkeypatch.setattr(
             CampaignWorkerState,
-            "run_item",
+            "prepare_item",
             lambda self, item: pytest.fail("memoized rerun re-simulated"),
         )
         second = campaign.run()

@@ -261,6 +261,27 @@ class TestExperimentQueue:
             assert queue.status(job.id)["state"] == JobState.DONE
             assert queue.status(job.id)["n_records"] == 1
 
+    def test_result_returns_only_a_settled_job(self, monkeypatch):
+        # concurrent.futures wakes result() waiters before it runs the
+        # done-callbacks; a slow settle callback must not let result()
+        # return while the job still reads "running".
+        make_settler = ExperimentQueue._make_settler
+
+        def slow_settler(self, job_id):
+            settle = make_settler(self, job_id)
+
+            def slowly(future):
+                time.sleep(0.2)
+                settle(future)
+
+            return slowly
+
+        monkeypatch.setattr(ExperimentQueue, "_make_settler", slow_settler)
+        with ExperimentQueue(workers=1, runner=lambda s: tiny_result(s, 5.0)) as queue:
+            job = queue.submit(campaign_spec())
+            assert queue.result(job.id, timeout=5).records[0]["value"] == 5.0
+            assert queue.status(job.id)["state"] == JobState.DONE
+
     def test_identical_inflight_submissions_coalesce(self):
         release = threading.Event()
         started = threading.Event()

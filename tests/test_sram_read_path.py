@@ -241,13 +241,15 @@ class TestMeasurementCaches:
     def test_penalty_percent_reuses_nominal(self, node, euv_option, monkeypatch):
         simulator = ReadPathSimulator(node)
         calls = {"count": 0}
-        true_simulate = ReadPathSimulator.simulate_column
+        true_prepare = ReadPathSimulator.prepare_simulate_column
 
-        def counting_simulate(self, *args, **kwargs):
+        def counting_prepare(self, *args, **kwargs):
             calls["count"] += 1
-            return true_simulate(self, *args, **kwargs)
+            return true_prepare(self, *args, **kwargs)
 
-        monkeypatch.setattr(ReadPathSimulator, "simulate_column", counting_simulate)
+        monkeypatch.setattr(
+            ReadPathSimulator, "prepare_simulate_column", counting_prepare
+        )
         simulator.penalty_percent(16, euv_option, EUV_WORST_CORNER)
         assert calls["count"] == 2                  # nominal + corner
         simulator.penalty_percent(16, euv_option, {"cd:euv": -3.0})
