@@ -7,9 +7,12 @@ Regenerate (only with a CHANGES.md note saying why the bits moved)::
 Two kinds of document live next to this script:
 
 * ``records/<name>.json`` — the ResultSet JSON of ``repro.api.run`` on
-  every ``examples/specs/*.json`` and on the four-operation DOE
-  (``doe4``), without wall-clock timings and batch provenance
-  (``solver``, ``solver_stats``, ``batch_size``, ``batch_stats``);
+  every ``examples/specs/*.json``, on the four-operation DOE (``doe4``)
+  and on the smoke spec run as the ``monte_carlo`` kind (``mc_read``:
+  Table IV's σ of the read path) and as the ``yield`` kind (``yield``:
+  the compliance rows and the overlay requirement), without wall-clock
+  timings and batch provenance (``solver``, ``solver_stats``,
+  ``batch_size``, ``batch_stats``);
 * ``solver.json`` — per-lane outcomes of the DC and transient solvers:
   iteration counts, SHA-256 digests of the exact float64 bytes of every
   voltage and time array, stop reasons and exact ``ConvergenceError``
@@ -94,12 +97,21 @@ def doe4_spec() -> Dict[str, Any]:
     return spec
 
 
+def smoke_as(kind: str) -> Dict[str, Any]:
+    """The smoke spec run as another experiment kind."""
+    spec = json.loads((SPEC_DIR / "smoke.json").read_text(encoding="utf-8"))
+    spec["kind"] = kind
+    return spec
+
+
 def record_specs() -> Dict[str, Any]:
     """Golden name -> spec (a path or a mapping), in a stable order."""
     specs: Dict[str, Any] = {
         path.stem: path for path in sorted(SPEC_DIR.glob("*.json"))
     }
     specs["doe4"] = doe4_spec()
+    specs["mc_read"] = smoke_as("monte_carlo")
+    specs["yield"] = smoke_as("yield")
     return specs
 
 
