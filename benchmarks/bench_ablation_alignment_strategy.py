@@ -47,10 +47,12 @@ def test_ablation_le3_alignment_strategy(benchmark, node, lpe, worst_case_study)
         return best
 
     def run():
-        sampler = ParameterSampler(option, node.variations, seed=77)
-        samples = sampler.draw_many(150)
-        aligned_samples = [delta_c_percent(sample.values, True) for sample in samples]
-        chained_samples = [delta_c_percent(sample.values, False) for sample in samples]
+        batch = ParameterSampler(option, node.variations, seed=77).draw_batch(150)
+        samples = [
+            dict(zip(batch.parameter_names, row.tolist())) for row in batch.matrix
+        ]
+        aligned_samples = [delta_c_percent(sample, True) for sample in samples]
+        chained_samples = [delta_c_percent(sample, False) for sample in samples]
         return {
             "worst_corner_aligned_percent": worst_corner_percent(True),
             "worst_corner_chained_percent": worst_corner_percent(False),

@@ -5,11 +5,14 @@ full design-of-experiments (array sizes 16/64/256/1024, 10 bit-line pairs,
 the 3-8 nm overlay sweep).  The heavyweight objects are session scoped so
 the corner search and nominal extractions are paid for once per run.
 
-Run with::
+The files are named ``bench_*.py``, which pytest does not collect by
+default, so name the pattern.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    python -m pytest benchmarks/ -o 'python_files=bench_*.py' --benchmark-only
 
-Add ``-s`` to also see the regenerated paper-style tables.
+Add ``-s`` to also see the regenerated paper-style tables, or swap
+``--benchmark-only`` for ``--benchmark-disable`` to run each bench once
+as a plain test (what CI does).
 """
 
 from __future__ import annotations

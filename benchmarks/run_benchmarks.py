@@ -2,8 +2,8 @@
 """Perf-regression harness for the paper's two engine benches.
 
 ``--suite mc`` times every Monte-Carlo study point of the paper DOE
-through both the batched (vectorised) pipeline and the scalar per-sample
-oracle, checks that the two agree element-wise, and writes ``BENCH_mc.json``.
+through the batched pipeline (draw → print → extract → eq. 4 over arrays)
+and writes ``BENCH_mc.json``.
 
 ``--suite service`` starts the HTTP experiment server on an ephemeral
 port and times full submit→poll→fetch round trips of the smoke spec:
@@ -48,12 +48,9 @@ Usage::
 
 The MC JSON schema (see README.md, "performance notes"):
 
-* ``points`` — one entry per study point with ``batch``/``scalar``
-  sub-objects (``wall_s``, ``samples_per_s``), the batch/scalar
-  ``speedup``, the σ(tdp) of both paths and the max |Δ| between the two
-  sample sets (the parity check);
-* ``summary`` — total wall time of each path, the geometric-mean and
-  minimum per-point speedup, and the samples/sec of the batched path.
+* ``points`` — one entry per study point with a ``batch`` sub-object
+  (``wall_s``, ``samples_per_s``) and the point's σ(tdp);
+* ``summary`` — the total wall time and the samples/sec of the pipeline.
 
 The sim JSON carries ``sequential.wall_s``, per-worker-count campaign
 walls, the derived speedups and a ``parity.max_rel_diff`` over every
@@ -64,7 +61,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -93,24 +89,17 @@ def time_record(study: MonteCarloTdpStudy, point) -> tuple[float, object]:
     return time.perf_counter() - start, record
 
 
-def run_benches(n_samples: int, n_wordlines: int, skip_scalar: bool) -> dict:
-    node = n10()
+def run_benches(n_samples: int, n_wordlines: int) -> dict:
     doe = paper_doe()
-    batch_study = MonteCarloTdpStudy(node, doe=doe, n_samples=n_samples, batch=True)
-    scalar_study = MonteCarloTdpStudy(
-        node, doe=doe, model=batch_study.model, n_samples=n_samples, batch=False
-    )
+    study = MonteCarloTdpStudy(n10(), doe=doe, n_samples=n_samples)
     points = doe.monte_carlo_points(n_wordlines=n_wordlines)
 
     entries = []
     total_batch = 0.0
-    total_scalar = 0.0
-    speedups = []
     for point in points:
-        # Warm the layout cache so neither path pays generation cost.
-        batch_study._layout_for(point.n_wordlines)
-        scalar_study._layout_cache = batch_study._layout_cache
-        batch_wall, batch_record = time_record(batch_study, point)
+        # Warm the layout cache so the timing excludes layout generation.
+        study._layout_for(point.n_wordlines)
+        batch_wall, batch_record = time_record(study, point)
         entry = {
             "label": point.label,
             "option": point.option_name,
@@ -124,33 +113,8 @@ def run_benches(n_samples: int, n_wordlines: int, skip_scalar: bool) -> dict:
             "sigma_percent": round(batch_record.summary.std, 6),
         }
         total_batch += batch_wall
-        if not skip_scalar:
-            scalar_wall, scalar_record = time_record(scalar_study, point)
-            diff = np.max(
-                np.abs(
-                    np.asarray(batch_record.tdp_percent_samples)
-                    - np.asarray(scalar_record.tdp_percent_samples)
-                )
-            )
-            speedup = scalar_wall / batch_wall
-            entry["scalar"] = {
-                "wall_s": round(scalar_wall, 6),
-                "samples_per_s": round(n_samples / scalar_wall, 1),
-            }
-            entry["speedup"] = round(speedup, 2)
-            entry["parity"] = {
-                "max_abs_diff_percent": float(diff),
-                "sigma_percent_scalar": round(scalar_record.summary.std, 6),
-                "histograms_identical": batch_record.histogram.counts
-                == scalar_record.histogram.counts,
-            }
-            total_scalar += scalar_wall
-            speedups.append(speedup)
         entries.append(entry)
-        line = f"{point.label:28s} batch {batch_wall*1e3:8.2f} ms"
-        if not skip_scalar:
-            line += f"  scalar {entry['scalar']['wall_s']*1e3:9.2f} ms  {entry['speedup']:7.1f}x"
-        print(line)
+        print(f"{point.label:28s} batch {batch_wall*1e3:8.2f} ms")
 
     summary = {
         "n_points": len(points),
@@ -158,12 +122,6 @@ def run_benches(n_samples: int, n_wordlines: int, skip_scalar: bool) -> dict:
         "batch_total_wall_s": round(total_batch, 6),
         "batch_samples_per_s": round(len(points) * n_samples / total_batch, 1),
     }
-    if speedups:
-        summary["scalar_total_wall_s"] = round(total_scalar, 6)
-        summary["speedup_geomean"] = round(
-            math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2
-        )
-        summary["speedup_min"] = round(min(speedups), 2)
     return {"points": entries, "summary": summary}
 
 
@@ -1088,7 +1046,7 @@ def bench_environment(workers: int | None = None) -> dict:
 #: throughput/speedup (regression when it drops), "lower" = wall/latency
 #: (regression when it grows).
 GATED_METRICS: dict = {
-    "mc": {"batch_samples_per_s": "higher", "speedup_geomean": "higher"},
+    "mc": {"batch_samples_per_s": "higher"},
     "sim": {"speedup_at_workers": "higher"},
     "ops": {"solver_speedup": "higher", "speedup_at_workers": "higher"},
     "service": {
@@ -1108,10 +1066,7 @@ GATED_METRICS: dict = {
 def _suite_metrics(suite: str, report: dict) -> dict:
     """Pull the gate-relevant scalars out of one suite's report."""
     if suite == "mc":
-        metrics = {"batch_samples_per_s": report["summary"]["batch_samples_per_s"]}
-        if "speedup_geomean" in report["summary"]:
-            metrics["speedup_geomean"] = report["summary"]["speedup_geomean"]
-        return metrics
+        return {"batch_samples_per_s": report["summary"]["batch_samples_per_s"]}
     if suite == "sim":
         return {"speedup_at_workers": report["summary"]["speedup_at_workers"]}
     if suite == "ops":
@@ -1147,11 +1102,7 @@ def _suite_config(suite: str, args) -> dict:
     compare against entries recorded under an identical config, so a
     smoke run is never judged against full-DOE baselines."""
     if suite == "mc":
-        return {
-            "samples": args.samples,
-            "wordlines": args.wordlines,
-            "skip_scalar": bool(args.skip_scalar),
-        }
+        return {"samples": args.samples, "wordlines": args.wordlines}
     if suite == "sim":
         return {"sizes": list(args.sim_sizes), "workers": args.sim_workers}
     if suite == "ops":
@@ -1240,8 +1191,6 @@ def main() -> int:
                         help="Monte-Carlo samples per study point (default 1000)")
     parser.add_argument("--wordlines", type=int, default=64,
                         help="array size of the MC study (default 64, as in the paper)")
-    parser.add_argument("--skip-scalar", action="store_true",
-                        help="time only the batched path (quick trend check)")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent / "BENCH_mc.json",
                         help="where to write the MC JSON report")
@@ -1310,24 +1259,16 @@ def main() -> int:
         started = time.time()
         report = _report_header(
             "monte_carlo_tdp",
-            "Fig.5/Table IV Monte-Carlo benches: batched vs scalar pipeline",
+            "Fig.5/Table IV Monte-Carlo bench: the batched pipeline per study point",
             started,
         )
-        report.update(run_benches(args.samples, args.wordlines, args.skip_scalar))
+        report.update(run_benches(args.samples, args.wordlines))
         report["harness_wall_s"] = round(time.time() - started, 3)
 
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"\nwrote {args.output}")
         summary = report["summary"]
         print(f"batched throughput: {summary['batch_samples_per_s']:.0f} samples/s")
-        if "speedup_geomean" in summary:
-            print(
-                f"speedup vs scalar: geomean {summary['speedup_geomean']}x, "
-                f"min {summary['speedup_min']}x"
-            )
-            if summary["speedup_min"] < 10.0 and args.samples >= 1000:
-                print("WARNING: batched path is below the 10x acceptance floor")
-                exit_code = 1
         regressed |= _history_step(args, "mc", report)
 
     if args.suite in ("sim", "all"):

@@ -19,11 +19,11 @@ needs, built from scratch:
   with an alpha-power-law FinFET model;
 * :mod:`repro.sram` — 6T cell, bit-line ladders, precharge, sense amp and
   the read-path simulation harness;
-* :mod:`repro.variability` — distributions, statistics, Monte-Carlo
-  engine, DOE;
+* :mod:`repro.variability` — distributions, statistics and the study
+  DOE;
 * :mod:`repro.core` — the paper's contribution: the analytical td/tdp
-  formula, the worst-case and Monte-Carlo studies and the option
-  comparison;
+  formula, the worst-case and Monte-Carlo studies (one batched
+  sample → print → extract → eq. 4 pipeline) and the option comparison;
 * :mod:`repro.reporting` — paper-style tables and figure data.
 
 Quick start — the declarative API (preferred)::

@@ -2,12 +2,12 @@
 
 The paper states that "the OL error plays a decisive role in LE3
 performance impact distribution" but does not quantify it.  This module
-does, using the same Monte-Carlo machinery: every LPE Monte-Carlo sample
-carries the parameter vector that produced it, so the first-order variance
-contribution of each parameter can be estimated directly from the sample
-set (squared Pearson correlation between the parameter and the resulting
-tdp — exact for an additive linear response, a good screening metric for
-the mildly non-linear one here).
+does, on the same seeded Monte-Carlo draw as Table IV: the LPE sample
+batch carries the parameter matrix that produced it, so the first-order
+variance contribution of each parameter can be estimated directly from the
+sample set (squared Pearson correlation between the parameter and the
+resulting tdp — exact for an additive linear response, a good screening
+metric for the mildly non-linear one here).
 
 Typical questions it answers:
 
@@ -20,11 +20,11 @@ Typical questions it answers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..extraction.lpe import RCVariation
+from ..extraction.lpe import BatchRCVariation
 from ..variability.doe import DOEPoint
 from .analytical import AnalyticalDelayModel
 from .montecarlo import MonteCarloTdpStudy
@@ -91,30 +91,24 @@ class AttributionResult:
 
 
 def attribute_from_variations(
-    variations: Sequence[RCVariation],
+    variations: BatchRCVariation,
     model: AnalyticalDelayModel,
     n_wordlines: int,
     option_name: str,
     overlay_three_sigma_nm: Optional[float] = None,
 ) -> AttributionResult:
-    """Compute the attribution from an existing list of RC-variation samples."""
+    """Compute the attribution from a batch of RC-variation samples."""
     if len(variations) < 10:
         raise AttributionError("variance attribution needs at least 10 samples")
-    parameter_names = sorted(variations[0].parameters)
-    if not parameter_names:
+    if not variations.parameter_names:
         raise AttributionError("the variation samples carry no parameter values")
 
-    tdp = np.array(
-        [
-            model.tdp_percent(n_wordlines, variation.rvar, variation.cvar)
-            for variation in variations
-        ]
-    )
+    tdp = model.tdp_percent(n_wordlines, variations.rvar, variations.cvar)
     total_sigma = float(np.std(tdp, ddof=1))
 
     contributions: List[ParameterContribution] = []
-    for name in parameter_names:
-        values = np.array([variation.parameters.get(name, 0.0) for variation in variations])
+    for column, name in enumerate(variations.parameter_names):
+        values = variations.parameter_matrix[:, column]
         if np.std(values) == 0.0 or total_sigma == 0.0:
             correlation = 0.0
         else:
@@ -144,7 +138,7 @@ class VarianceAttribution:
         self.study = study
 
     def attribute(self, point: DOEPoint) -> AttributionResult:
-        variations = self.study.rc_variation_samples(point)
+        variations = self.study.rc_variation_samples_batch(point)
         return attribute_from_variations(
             variations,
             self.study.model,

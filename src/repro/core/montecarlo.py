@@ -7,8 +7,10 @@ microseconds of CPU time.  The flow here follows the paper exactly:
 
 1. the parameterized LPE tool samples the patterning parameters and
    extracts the bit-line ``(Rvar, Cvar)`` distribution (the expensive but
-   still fast part — a quasi-2D extraction per sample);
-2. the analytical formula maps every ``(Rvar, Cvar)`` sample to a tdp;
+   still fast part — one batched draw, print and quasi-2D extraction of
+   all samples);
+2. the analytical formula maps the ``(Rvar, Cvar)`` arrays to tdp in one
+   array-valued evaluation;
 3. the tdp distribution (Fig. 5) and its standard deviation (Table IV) are
    reported per option and — for LE3 — per overlay budget.
 """
@@ -20,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..extraction.lpe import BatchRCVariation, ParameterizedLPE, RCVariation
+from ..extraction.lpe import BatchRCVariation, ParameterizedLPE
 from ..layout.array import SRAMArrayLayout, generate_array_layout
 from ..patterning import create_option
 from ..patterning.base import PatterningOption
@@ -74,11 +76,6 @@ class MonteCarloTdpStudy:
     seed:
         Base random seed; each study point derives its own stream from it
         so points are independent yet reproducible.
-    batch:
-        When true (default) every study point runs through the vectorised
-        sampling/printing/extraction path; ``batch=False`` keeps the
-        scalar per-sample loop as the reference oracle.  Both paths use
-        identical random streams, so they agree to round-off.
     """
 
     def __init__(
@@ -88,7 +85,6 @@ class MonteCarloTdpStudy:
         model: Optional[AnalyticalDelayModel] = None,
         n_samples: int = 1000,
         seed: int = 2015,
-        batch: bool = True,
     ) -> None:
         if n_samples < 2:
             raise MonteCarloStudyError("the Monte-Carlo study needs at least two samples")
@@ -99,7 +95,6 @@ class MonteCarloTdpStudy:
         )
         self.n_samples = n_samples
         self.seed = seed
-        self.batch = batch
         self._layout_cache: Dict[int, SRAMArrayLayout] = {}
         self._lpe_cache: Dict[Optional[float], ParameterizedLPE] = {}
         self._surface_cache: Dict[Tuple[str, int, float], OperationResponseSurface] = {}
@@ -152,20 +147,6 @@ class MonteCarloTdpStudy:
 
     # -- sampling ------------------------------------------------------------------------
 
-    def rc_variation_samples(self, point: DOEPoint) -> List[RCVariation]:
-        """The LPE Monte-Carlo loop: per-sample (Rvar, Cvar) of the bit line."""
-        option = create_option(point.option_name)
-        layout = self._layout_for(point.n_wordlines)
-        bl_net, _ = layout.central_pair_nets()
-        lpe = self._lpe_for_point(point)
-        return lpe.monte_carlo_variations(
-            layout.metal1_pattern,
-            option,
-            bl_net,
-            n_samples=self.n_samples,
-            seed=self._seed_for_point(point),
-        )
-
     def _central_nets(self, point: DOEPoint) -> Tuple[str, str]:
         """Net names of the central bit line and its VSS rail."""
         layout = self._layout_for(point.n_wordlines)
@@ -187,20 +168,9 @@ class MonteCarloTdpStudy:
         )
 
     def rc_variation_samples_batch(self, point: DOEPoint) -> BatchRCVariation:
-        """The vectorised LPE Monte-Carlo loop: (Rvar, Cvar) arrays."""
+        """The LPE Monte-Carlo loop: the bit line's (Rvar, Cvar) arrays."""
         bl_net, _ = self._central_nets(point)
         return self._variation_samples_batch_multi(point, (bl_net,))[bl_net]
-
-    def rail_variation_samples_batch(self, point: DOEPoint) -> BatchRCVariation:
-        """Per-sample (Rvar, Cvar) of the central column's VSS rail.
-
-        Drawn with the *same* per-point seed as
-        :meth:`rc_variation_samples_batch`, so sample ``i`` of the rail
-        arrays corresponds to the same printed wafer as sample ``i`` of
-        the bit-line arrays (the sampler stream is seed-deterministic).
-        """
-        _, vss_net = self._central_nets(point)
-        return self._variation_samples_batch_multi(point, (vss_net,))[vss_net]
 
     def column_variation_samples_batch(
         self, point: DOEPoint
@@ -208,7 +178,8 @@ class MonteCarloTdpStudy:
         """Bit-line and VSS-rail sample batches from one draw/print/extract.
 
         The expensive stages run once for both nets; the operation suite's
-        margin twins consume the pair.
+        margin twins consume the pair.  The point's seed fixes the draw, so
+        the bit-line batch equals :meth:`rc_variation_samples_batch`'s.
         """
         bl_net, vss_net = self._central_nets(point)
         variations = self._variation_samples_batch_multi(point, (bl_net, vss_net))
@@ -216,17 +187,11 @@ class MonteCarloTdpStudy:
 
     def tdp_record(self, point: DOEPoint, bins: int = 30) -> MonteCarloTdpRecord:
         """Fig. 5 record for one study point: tdp samples, summary, histogram."""
-        if self.batch:
-            variations = self.rc_variation_samples_batch(point)
-            tdp_array = self.model.tdp_percent(
-                point.n_wordlines, variations.rvar, variations.cvar
-            )
-            tdp_percent = tuple(float(value) for value in tdp_array)
-        else:
-            tdp_percent = tuple(
-                self.model.tdp_percent(point.n_wordlines, variation.rvar, variation.cvar)
-                for variation in self.rc_variation_samples(point)
-            )
+        variations = self.rc_variation_samples_batch(point)
+        tdp_array = self.model.tdp_percent(
+            point.n_wordlines, variations.rvar, variations.cvar
+        )
+        tdp_percent = tuple(float(value) for value in tdp_array)
         summary = SummaryStatistics.from_samples(tdp_percent)
         histogram = Histogram.from_samples(tdp_percent, bins=bins)
         return MonteCarloTdpRecord(

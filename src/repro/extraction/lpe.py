@@ -15,12 +15,19 @@ RC variations** of the bit line:
 
 expressed as ratios (``1 + x``), exactly as they enter the analytical
 formula (eq. 4 of the paper).
+
+The Monte-Carlo loop runs batched:
+:meth:`ParameterizedLPE.monte_carlo_variations_batch_multi` draws all
+samples, prints them and extracts them as arrays.  The one-sample entry
+points (:meth:`ParameterizedLPE.rc_variation`,
+:meth:`ParameterizedLPE.extract_with_patterning`) serve the worst-case
+corner search and the circuit simulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +79,7 @@ class BatchRCVariation:
 
     ``rvar`` and ``cvar`` are ``(N,)`` ratio arrays; ``parameter_matrix``
     holds the sampled parameter vectors (``(N, k)``, columns follow
-    ``parameter_names``) so individual samples can still be inspected or
-    re-printed through the scalar path.
+    ``parameter_names``), row ``i`` being the draw behind sample ``i``.
     """
 
     net: str
@@ -99,26 +105,6 @@ class BatchRCVariation:
     @property
     def delta_c_percent(self) -> np.ndarray:
         return (self.cvar - 1.0) * 100.0
-
-    def at(self, index: int) -> RCVariation:
-        """One sample as the scalar :class:`RCVariation`."""
-        row = self.parameter_matrix[index]
-        return RCVariation(
-            net=self.net,
-            option_name=self.option_name,
-            rvar=float(self.rvar[index]),
-            cvar=float(self.cvar[index]),
-            parameters={
-                name: float(row[k]) for k, name in enumerate(self.parameter_names)
-            },
-        )
-
-    def __iter__(self) -> Iterator[RCVariation]:
-        for index in range(len(self)):
-            yield self.at(index)
-
-    def to_list(self) -> List[RCVariation]:
-        return list(self)
 
 
 @dataclass
@@ -239,71 +225,6 @@ class ParameterizedLPE:
 
     # -- the iterative / Monte-Carlo loop ---------------------------------------
 
-    def monte_carlo_variations(
-        self,
-        pattern: TrackPattern,
-        option: PatterningOption,
-        net: str,
-        n_samples: int,
-        seed: Optional[int] = None,
-        truncate_at_three_sigma: bool = False,
-    ) -> List[RCVariation]:
-        """Monte-Carlo RC-variation distribution of ``net``.
-
-        This is the "iterative loop" of the paper's tool: each iteration
-        samples the patterning parameters, prints the layout, extracts it
-        and stores the target metrics.
-        """
-        sampler = ParameterSampler(
-            option,
-            self.node.variations,
-            seed=seed,
-            truncate_at_three_sigma=truncate_at_three_sigma,
-        )
-        nominal_extraction = self.nominal_extraction(pattern)
-        nominal = nominal_extraction[net]
-        results: List[RCVariation] = []
-        for sample in sampler.draw_many(n_samples):
-            patterned = option.apply(pattern, sample.values)
-            printed_extraction = self.extract_pattern(patterned.printed)
-            printed = printed_extraction[net]
-            results.append(
-                RCVariation(
-                    net=net,
-                    option_name=option.name,
-                    rvar=printed.resistance_total_ohm / nominal.resistance_total_ohm,
-                    cvar=printed.capacitance_total_f / nominal.capacitance_total_f,
-                    parameters=dict(sample.values),
-                )
-            )
-        return results
-
-    def monte_carlo_variations_batch(
-        self,
-        pattern: TrackPattern,
-        option: PatterningOption,
-        net: str,
-        n_samples: int,
-        seed: Optional[int] = None,
-        truncate_at_three_sigma: bool = False,
-    ) -> BatchRCVariation:
-        """Vectorised Monte-Carlo RC-variation distribution of ``net``.
-
-        One batched draw, one batched print and one batched extraction
-        replace the N-iteration scalar loop of
-        :meth:`monte_carlo_variations`; for a fixed seed the sampled
-        parameters are bit-identical to the scalar loop's and the returned
-        ratios agree element-wise to floating-point round-off.
-        """
-        return self.monte_carlo_variations_batch_multi(
-            pattern,
-            option,
-            (net,),
-            n_samples=n_samples,
-            seed=seed,
-            truncate_at_three_sigma=truncate_at_three_sigma,
-        )[net]
-
     def monte_carlo_variations_batch_multi(
         self,
         pattern: TrackPattern,
@@ -313,13 +234,14 @@ class ParameterizedLPE:
         seed: Optional[int] = None,
         truncate_at_three_sigma: bool = False,
     ) -> Dict[str, BatchRCVariation]:
-        """Batched Monte-Carlo variations of several nets from one draw.
+        """Monte-Carlo RC-variation distributions of several nets.
 
-        The sampling, printing and extraction — the dominant costs — run
-        once for the whole net list, so callers needing e.g. the bit line
-        *and* its VSS rail (the operation suite's margin twins) pay a
-        single pass.  Sample ``i`` of every returned array describes the
-        same printed wafer.
+        This is the "iterative loop" of the paper's tool, run as arrays:
+        one draw of ``n_samples`` parameter vectors, one batched print and
+        one batched extraction for the whole net list, so callers needing
+        e.g. the bit line *and* its VSS rail (the operation suite's margin
+        twins) pay a single pass.  Sample ``i`` of every returned array
+        describes the same printed wafer.
         """
         if not nets:
             raise ExtractionError("the net list cannot be empty")

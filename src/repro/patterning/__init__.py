@@ -13,7 +13,6 @@ from .base import (
     PatterningOption,
     PatterningRegistry,
     default_registry,
-    geometry_from_patterns,
 )
 from .decomposition import (
     DEFAULT_MASK_LABELS,
@@ -31,7 +30,6 @@ from .sadp import CORE_MASK, SADP, SPACER_MASK, sadp
 from .sampler import (
     ParameterSampleBatch,
     ParameterSampler,
-    SampledParameters,
     enumerate_worst_case_corners,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "PatterningRegistry",
     "SADP",
     "SPACER_MASK",
-    "SampledParameters",
     "apply_assignment",
     "build_conflict_graph",
     "create_option",
@@ -91,7 +88,6 @@ __all__ = [
     "default_registry",
     "enumerate_worst_case_corners",
     "euv",
-    "geometry_from_patterns",
     "graph_coloring_assignment",
     "le2",
     "le3",

@@ -7,7 +7,9 @@ A *patterning option* (LE3, SADP, EUV...) knows three things:
 2. which variation parameters it introduces and their 3σ budgets
    (:meth:`PatterningOption.parameter_specs`);
 3. how a concrete assignment of those parameters distorts the printed
-   pattern (:meth:`PatterningOption.apply`).
+   pattern (:meth:`PatterningOption.apply`), and how a whole ``(N, k)``
+   matrix of Monte-Carlo assignments does
+   (:meth:`PatterningOption.apply_batch`).
 
 The worst-case enumeration, Monte-Carlo sampling and parasitic extraction
 all operate on this interface only, so adding a new patterning option
@@ -138,9 +140,9 @@ class BatchPrintedGeometry:
     def validate(self) -> None:
         """Reject samples that pinch off a track or overlap neighbours.
 
-        The scalar path raises for such samples one at a time; the batch
-        path rejects the whole batch with the offending sample index so the
-        caller can tighten the budgets (matching scalar-path strictness).
+        One-sample :meth:`PatterningOption.apply` raises for such a
+        sample; a batch is rejected as a whole, naming the offending sample
+        index, so the caller can tighten the budgets.
         """
         widths = self.widths_nm
         if np.any(widths <= 0.0):
@@ -159,33 +161,6 @@ class BatchPrintedGeometry:
                     f"{self.option_name}: sample {int(sample)} makes tracks "
                     f"{self.nets[int(gap)]!r} and {self.nets[int(gap) + 1]!r} overlap"
                 )
-
-
-
-def geometry_from_patterns(
-    option_name: str,
-    nominal: TrackPattern,
-    printed_patterns: Sequence[TrackPattern],
-) -> BatchPrintedGeometry:
-    """Stack scalar printed patterns into a :class:`BatchPrintedGeometry`."""
-    if not printed_patterns:
-        raise PatterningError("at least one printed pattern is required")
-    first = printed_patterns[0]
-    left = np.empty((len(printed_patterns), len(first)))
-    right = np.empty_like(left)
-    for row, printed in enumerate(printed_patterns):
-        for column, track in enumerate(printed):
-            left[row, column] = track.left_edge_nm
-            right[row, column] = track.right_edge_nm
-    return BatchPrintedGeometry(
-        option_name=option_name,
-        nominal=nominal,
-        nets=tuple(track.net for track in first),
-        roles=tuple(track.role for track in first),
-        masks=tuple(track.mask for track in first),
-        left_edges_nm=left,
-        right_edges_nm=right,
-    )
 
 
 class PatterningOption(abc.ABC):
@@ -223,8 +198,7 @@ class PatterningOption(abc.ABC):
         parameters default to zero (nominal).
         """
 
-    # -- batched printing ------------------------------------------------------
-
+    @abc.abstractmethod
     def apply_batch(
         self,
         pattern: TrackPattern,
@@ -233,22 +207,12 @@ class PatterningOption(abc.ABC):
     ) -> BatchPrintedGeometry:
         """Print ``pattern`` under every row of an ``(N, k)`` parameter matrix.
 
-        The base implementation loops the scalar :meth:`apply` per sample —
-        always correct, never fast; the standard options override it with a
-        fully vectorised implementation.  Column ``j`` of the matrix holds
-        parameter ``parameter_names[j]``.
+        Column ``j`` of the matrix holds parameter ``parameter_names[j]``.
+        This is the Monte-Carlo printing step; :meth:`apply` prints one
+        assignment for the corner search and the circuit simulators.
         """
-        matrix = self._check_batch_matrix(parameter_matrix, parameter_names)
-        printed = [
-            self.apply(
-                pattern,
-                {name: float(row[j]) for j, name in enumerate(parameter_names)},
-            ).printed
-            for row in matrix
-        ]
-        geometry = geometry_from_patterns(self.name, pattern, printed)
-        geometry.validate()
-        return geometry
+
+    # -- batched-printing helpers ----------------------------------------------
 
     def _printed_geometry(
         self,

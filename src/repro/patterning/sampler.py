@@ -10,16 +10,15 @@ Two ways of exercising a patterning option's variation space:
   combinations — this feeds the worst-case study (Table I, Fig. 4).
 
 :meth:`ParameterSampler.draw_batch` draws all N samples as one ``(N, k)``
-array.  It consumes the underlying random stream in exactly the order the
-scalar :meth:`ParameterSampler.draw` loop does (sample-major, parameter
-names in sorted order, zero-σ parameters skipped), so a batched study is
-bit-identical to the scalar one for the same seed.
+array, consuming the underlying random stream sample-major over the sorted
+parameter names (zero-σ parameters take no draws).  That order fixes every
+seeded Monte-Carlo record, so the golden corpus pins it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,14 +29,6 @@ from ..technology.corners import (
     enumerate_corner_points,
 )
 from .base import PatterningError, PatterningOption
-
-
-@dataclass(frozen=True)
-class SampledParameters:
-    """One Monte-Carlo draw: parameter values plus the draw index."""
-
-    index: int
-    values: Dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -69,15 +60,6 @@ class ParameterSampleBatch:
                 f"unknown parameter {name!r}; known: {list(self.parameter_names)}"
             ) from None
         return self.matrix[:, index]
-
-    def values_at(self, index: int) -> Dict[str, float]:
-        """The ``index``-th draw as the scalar-path parameter dictionary."""
-        row = self.matrix[index]
-        return {name: float(row[k]) for k, name in enumerate(self.parameter_names)}
-
-    def __iter__(self) -> Iterator[SampledParameters]:
-        for index in range(len(self)):
-            yield SampledParameters(index=index, values=self.values_at(index))
 
 
 class ParameterSampler:
@@ -119,41 +101,12 @@ class ParameterSampler:
     def parameter_names(self) -> List[str]:
         return list(self._names)
 
-    def draw(self, index: int = 0) -> SampledParameters:
-        """Draw a single parameter vector."""
-        values: Dict[str, float] = {}
-        for name in self._names:
-            spec = self.specs[name]
-            sigma = spec.sigma_nm
-            if sigma == 0.0:
-                values[name] = 0.0
-                continue
-            sample = float(self._rng.normal(0.0, sigma))
-            if self.truncate_at_three_sigma:
-                bound = spec.three_sigma_nm
-                sample = float(np.clip(sample, -bound, bound))
-            values[name] = sample
-        return SampledParameters(index=index, values=values)
-
-    def draw_many(self, count: int) -> List[SampledParameters]:
-        """Draw ``count`` parameter vectors."""
-        if count < 1:
-            raise PatterningError("the number of Monte-Carlo samples must be positive")
-        return [self.draw(index) for index in range(count)]
-
-    def __iter__(self) -> Iterator[SampledParameters]:
-        index = 0
-        while True:
-            yield self.draw(index)
-            index += 1
-
     def draw_batch(self, count: int) -> ParameterSampleBatch:
         """Draw ``count`` parameter vectors as one ``(count, k)`` array.
 
-        The random stream is consumed in the same order as ``count``
-        successive :meth:`draw` calls (rows are samples, columns are the
-        sorted parameter names; zero-σ parameters do not consume draws), so
-        for a fixed seed the batch is bit-identical to the scalar loop.
+        Rows are samples and columns the sorted parameter names.  The
+        random stream is consumed sample-major over the parameters with a
+        non-zero σ; zero-σ columns stay at zero and take no draws.
         """
         if count < 1:
             raise PatterningError("the number of Monte-Carlo samples must be positive")
@@ -171,14 +124,6 @@ class ParameterSampler:
         return ParameterSampleBatch(
             parameter_names=tuple(self._names), matrix=matrix
         )
-
-    def draw_matrix(self, count: int) -> np.ndarray:
-        """Draw ``count`` vectors as a ``(count, n_parameters)`` array.
-
-        Column order follows :attr:`parameter_names`.  Useful for vectorised
-        surrogate evaluations.
-        """
-        return self.draw_batch(count).matrix
 
 
 def enumerate_worst_case_corners(

@@ -1,4 +1,4 @@
-"""Variability substrate: distributions, statistics, generic Monte-Carlo engine, DOE."""
+"""Variability substrate: distributions, statistics and the study DOE."""
 
 from .distributions import (
     CornerDistribution,
@@ -8,12 +8,6 @@ from .distributions import (
     TruncatedNormalDistribution,
 )
 from .doe import DOEError, DOEPoint, StudyDOE, paper_doe, reduced_doe
-from .montecarlo import (
-    MonteCarloEngine,
-    MonteCarloError,
-    MonteCarloRun,
-    MonteCarloSample,
-)
 from .statistics import (
     Histogram,
     StatisticsError,
@@ -29,10 +23,6 @@ __all__ = [
     "Distribution",
     "DistributionError",
     "Histogram",
-    "MonteCarloEngine",
-    "MonteCarloError",
-    "MonteCarloRun",
-    "MonteCarloSample",
     "NormalDistribution",
     "StatisticsError",
     "StudyDOE",

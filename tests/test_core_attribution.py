@@ -1,5 +1,6 @@
 """Tests of the variance-attribution extension."""
 
+import numpy as np
 import pytest
 
 from repro.core.attribution import (
@@ -8,40 +9,38 @@ from repro.core.attribution import (
     attribute_from_variations,
 )
 from repro.core.montecarlo import MonteCarloTdpStudy
-from repro.extraction.lpe import RCVariation
+from repro.extraction.lpe import BatchRCVariation
 from repro.variability.doe import DOEPoint, StudyDOE
 
 
 def synthetic_variations(count=200, c_slope=0.02, r_slope=0.0, seed=5):
     """Variations whose Cvar depends only on parameter 'x' (linear)."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
-    variations = []
-    for _ in range(count):
-        x = float(rng.normal(0.0, 1.0))
-        y = float(rng.normal(0.0, 1.0))
-        variations.append(
-            RCVariation(
-                net="BL",
-                option_name="TEST",
-                rvar=1.0 + r_slope * y,
-                cvar=1.0 + c_slope * x,
-                parameters={"x": x, "y": y},
-            )
-        )
-    return variations
+    matrix = rng.standard_normal((count, 2))
+    x, y = matrix[:, 0], matrix[:, 1]
+    return BatchRCVariation(
+        net="BL",
+        option_name="TEST",
+        rvar=1.0 + r_slope * y,
+        cvar=1.0 + c_slope * x,
+        parameter_names=("x", "y"),
+        parameter_matrix=matrix,
+    )
 
 
 @pytest.fixture(scope="module")
-def attribution(node, analytical_model):
-    study = MonteCarloTdpStudy(
+def study(node, analytical_model):
+    return MonteCarloTdpStudy(
         node,
         doe=StudyDOE(array_sizes=(64,), overlay_budgets_nm=(3.0, 8.0)),
         model=analytical_model,
         n_samples=250,
         seed=17,
     )
+
+
+@pytest.fixture(scope="module")
+def attribution(study):
     return VarianceAttribution(study)
 
 
@@ -108,3 +107,12 @@ class TestVarianceAttributionOnStudy:
         result = attribution.attribute(DOEPoint(n_wordlines=64, option_name="EUV"))
         assert result.dominant_parameter() == "cd:euv"
         assert result.share_of("cd:euv") > 0.9
+
+    def test_total_sigma_is_the_table4_sigma(self, study, attribution):
+        """Attribution runs on the seeded draw Table IV reports, bit for bit."""
+        points = study.doe.monte_carlo_points(n_wordlines=64)
+        rows = study.table4(n_wordlines=64)
+        assert len(rows) == len(points) == 4
+        for point, row in zip(points, rows):
+            result = attribution.attribute(point)
+            assert result.total_sigma_percent == row.sigma_percent, point.label

@@ -109,15 +109,17 @@ class TestParameterizedLPE:
 
     def test_monte_carlo_variations_are_reproducible(self, lpe, array64):
         net, _ = array64.central_pair_nets()
-        first = lpe.monte_carlo_variations(array64.metal1_pattern, euv(), net, 20, seed=11)
-        second = lpe.monte_carlo_variations(array64.metal1_pattern, euv(), net, 20, seed=11)
-        assert [v.cvar for v in first] == pytest.approx([v.cvar for v in second])
+        pattern = array64.metal1_pattern
+        first = lpe.monte_carlo_variations_batch_multi(pattern, euv(), (net,), 20, seed=11)
+        second = lpe.monte_carlo_variations_batch_multi(pattern, euv(), (net,), 20, seed=11)
+        assert first[net].cvar.tolist() == second[net].cvar.tolist()
 
     def test_monte_carlo_centered_near_nominal(self, lpe, array64):
         net, _ = array64.central_pair_nets()
-        variations = lpe.monte_carlo_variations(array64.metal1_pattern, euv(), net, 200, seed=5)
-        mean_cvar = sum(v.cvar for v in variations) / len(variations)
-        assert mean_cvar == pytest.approx(1.0, abs=0.02)
+        variations = lpe.monte_carlo_variations_batch_multi(
+            array64.metal1_pattern, euv(), (net,), 200, seed=5
+        )[net]
+        assert float(variations.cvar.mean()) == pytest.approx(1.0, abs=0.02)
 
     def test_corner_variations_match_individual_calls(self, lpe, array64):
         net, _ = array64.central_pair_nets()

@@ -5,6 +5,7 @@ must match the sequential ``WorstCaseStudy.operation_rows`` numbers at
 ``rtol <= 1e-12``, with one worker and with two.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.campaign import (
@@ -225,12 +226,15 @@ class TestOperationSigma:
             node, doe=StudyDOE(array_sizes=(16,)), n_samples=25
         )
         point = study.doe.monte_carlo_points(n_wordlines=16)[0]
-        bitline = study.rc_variation_samples_batch(point)
-        rails = study.rail_variation_samples_batch(point)
+        bitline, rails = study.column_variation_samples_batch(point)
         assert rails.net.startswith("VSS")
         assert len(rails) == len(bitline)
-        # Same seeded draw: sample i of both arrays is the same wafer.
-        assert rails.parameter_matrix == pytest.approx(bitline.parameter_matrix)
+        # Same seeded draw: sample i of both arrays is the same wafer, and
+        # the bit line is the one the read-path study samples.
+        alone = study.rc_variation_samples_batch(point)
+        np.testing.assert_array_equal(rails.parameter_matrix, alone.parameter_matrix)
+        np.testing.assert_array_equal(bitline.rvar, alone.rvar)
+        np.testing.assert_array_equal(bitline.cvar, alone.cvar)
 
     def test_surface_is_cached_per_operation_and_size(self, node, op_simulators):
         study = MonteCarloTdpStudy(

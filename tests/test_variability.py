@@ -1,4 +1,4 @@
-"""Tests of distributions, statistics, the Monte-Carlo engine and the DOE."""
+"""Tests of distributions, statistics and the DOE."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.variability.distributions import (
     TruncatedNormalDistribution,
 )
 from repro.variability.doe import DOEError, DOEPoint, StudyDOE, paper_doe, reduced_doe
-from repro.variability.montecarlo import MonteCarloEngine, MonteCarloError
 from repro.variability.statistics import (
     Histogram,
     StatisticsError,
@@ -221,96 +220,6 @@ class TestStatistics:
             correlation([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(StatisticsError):
             correlation([1.0, 1.0], [1.0, 2.0])
-
-
-class TestMonteCarloEngine:
-    def make_engine(self, seed=3):
-        return MonteCarloEngine(
-            parameter_distributions={
-                "x": NormalDistribution(sigma=1.0),
-                "y": NormalDistribution(sigma=2.0),
-            },
-            model=lambda p: p["x"] + p["y"],
-            seed=seed,
-        )
-
-    def test_run_produces_requested_samples(self):
-        run = self.make_engine().run(100)
-        assert len(run) == 100
-        assert len(run.results()) == 100
-
-    def test_seeded_runs_reproducible(self):
-        first = self.make_engine(seed=5).run(50).values(lambda r: r)
-        second = self.make_engine(seed=5).run(50).values(lambda r: r)
-        assert first == second
-
-    def test_summary_std_matches_theory(self):
-        run = self.make_engine().run(4000)
-        summary = run.summary(lambda r: r)
-        assert summary.std == pytest.approx(np.sqrt(5.0), rel=0.1)
-
-    def test_parameter_values_recorded(self):
-        run = self.make_engine().run(10)
-        assert len(run.parameter_values("x")) == 10
-
-    def test_histogram_from_run(self):
-        histogram = self.make_engine().run(200).histogram(lambda r: r, bins=10)
-        assert sum(histogram.counts) == 200
-
-    def test_run_until_stops_between_bounds(self):
-        run = self.make_engine().run_until(lambda r: r, relative_std_error=0.05, min_samples=50, max_samples=2000)
-        assert 50 <= len(run) <= 2000
-
-    def test_run_until_stops_at_max_samples_exactly(self):
-        # An unreachable precision target must stop at max_samples on the
-        # nose, even when max_samples is not a multiple of the batch size.
-        run = self.make_engine().run_until(
-            lambda r: r,
-            relative_std_error=0.001,
-            min_samples=10,
-            max_samples=157,
-            batch=100,
-        )
-        assert len(run) == 157
-
-    def test_run_until_estimator_independent_of_batch_size(self):
-        # Batch size controls only how often convergence is checked; with a
-        # fixed seed the same samples are drawn in the same order, so
-        # stopping at the cap yields identical runs for any batch.
-        runs = [
-            self.make_engine(seed=9).run_until(
-                lambda r: r,
-                relative_std_error=0.0001,
-                min_samples=10,
-                max_samples=300,
-                batch=batch,
-            )
-            for batch in (1, 7, 100, 300)
-        ]
-        reference = runs[0].values(lambda r: r)
-        for run in runs[1:]:
-            assert len(run) == 300
-            assert run.values(lambda r: r) == reference
-
-    def test_run_until_can_stop_mid_batch_budget(self):
-        # min_samples below batch still honours the convergence check at
-        # the first batch boundary, never overshooting max_samples.
-        run = self.make_engine().run_until(
-            lambda r: r,
-            relative_std_error=0.5,
-            min_samples=2,
-            max_samples=50,
-            batch=100,
-        )
-        assert len(run) <= 50
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(MonteCarloError):
-            MonteCarloEngine({}, lambda p: 0.0)
-        with pytest.raises(MonteCarloError):
-            self.make_engine().run(0)
-        with pytest.raises(MonteCarloError):
-            self.make_engine().run_until(lambda r: r, relative_std_error=2.0)
 
 
 class TestDOE:
