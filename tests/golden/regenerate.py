@@ -10,7 +10,9 @@ Two kinds of document live next to this script:
   every ``examples/specs/*.json``, on the four-operation DOE (``doe4``)
   and on the smoke spec run as the ``monte_carlo`` kind (``mc_read``:
   Table IV's σ of the read path) and as the ``yield`` kind (``yield``:
-  the compliance rows and the overlay requirement), without wall-clock
+  the compliance rows and the overlay requirement), and on the
+  high-sigma spec with the circuit model (``yield_hs_circuit``: every
+  importance-sampled draw a real read transient), without wall-clock
   timings and batch provenance (``solver``, ``solver_stats``,
   ``batch_size``, ``batch_stats``);
 * ``solver.json`` — per-lane outcomes of the DC and transient solvers:
@@ -104,6 +106,15 @@ def smoke_as(kind: str) -> Dict[str, Any]:
     return spec
 
 
+def yield_hs_circuit_spec() -> Dict[str, Any]:
+    """The high-sigma spec on the circuit model: 2 rows, 34 transient lanes."""
+    spec = json.loads((SPEC_DIR / "yield_hs.json").read_text(encoding="utf-8"))
+    spec["high_sigma"]["model"] = "circuit"
+    spec["array"]["options"] = ["LELELE"]
+    spec["array"]["overlay_budgets_nm"] = [3.0]
+    return spec
+
+
 def record_specs() -> Dict[str, Any]:
     """Golden name -> spec (a path or a mapping), in a stable order."""
     specs: Dict[str, Any] = {
@@ -112,6 +123,7 @@ def record_specs() -> Dict[str, Any]:
     specs["doe4"] = doe4_spec()
     specs["mc_read"] = smoke_as("monte_carlo")
     specs["yield"] = smoke_as("yield")
+    specs["yield_hs_circuit"] = yield_hs_circuit_spec()
     return specs
 
 
