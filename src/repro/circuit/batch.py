@@ -43,14 +43,21 @@ escalation) take the one-lane driver, counted in
 
 Transient lanes: the adaptive step controller makes time points
 lane-specific, so the driver gathers every lane's pending stamp request
-into one kernel call per tick and keeps the linear solves on each lane's
-own :class:`~repro.circuit.mna.CachedFactorSolver` — heterogeneous
-topologies batch fine because only the element-wise kernel is shared.
+into one tick of fixed array work — one solution-buffer fill, one kernel
+call, one residual scatter and one stamp selection over tables
+concatenated once per set of live lanes — and keeps the linear solves on
+each lane's own :class:`~repro.circuit.mna.CachedFactorSolver` (sparse
+``splu``).  Heterogeneous topologies batch fine because only the
+element-wise kernel and the disjoint per-lane scatters are shared.
+Stacking small transient lanes into dense solves like the DC group was
+ruled out: a dense LAPACK LU pivots and sums in a different order from
+SuperLU's COLAMD-ordered LU, so the records would move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (
     Any,
     Callable,
@@ -85,7 +92,7 @@ from .dc import (
     dc_sweep,
     rescue_level,
 )
-from .mna import MNAAssembler, NonlinearStamp, solver_stats
+from .mna import BatchPlan, MNAAssembler, NonlinearStamp, solver_stats
 from .mosfet import DeviceParams, batch_operating_points
 from .netlist import Circuit
 from .transient import StopCondition, TransientSolver, _transient_lane
@@ -198,7 +205,8 @@ class _DCGroup:
         self.res_dev = np.stack([p.res_dev for p in plans])
         self.res_sign = np.stack([p.res_sign for p in plans])
         self.stamp_flat = np.stack([p.stamp_flat for p in plans])
-        self.stamp_kind = np.stack([p.stamp_kind for p in plans])
+        self.stamp_pick = np.stack([p.stamp_pick for p in plans])
+        self.stamp_sign = np.stack([p.stamp_sign for p in plans])
         self.stamp_dev = np.stack([p.stamp_dev for p in plans])
         self.p_polarity = np.stack([p.params.polarity for p in plans])
         self.p_vth = np.stack([p.params.vth_v for p in plans])
@@ -297,7 +305,6 @@ class _DCGroup:
             if len(self._tables) > 64:
                 self._tables.clear()
             na = act.size
-            kind = self.stamp_kind[act]
             tbl = {
                 "rows": np.arange(na)[:, None],
                 "drain": self.drain_idx[act],
@@ -310,13 +317,8 @@ class _DCGroup:
                     self.res_pos[act] + (np.arange(na) * self.size)[:, None]
                 ).reshape(-1),
                 "stamp_dev": self.stamp_dev[act],
-                "stamp_kind": kind,
-                # Static decomposition of the stamp-kind dispatch: kind
-                # 0..5 is (±gds, ±gm, ±(gds+gm)); picking the component
-                # with choose and applying the sign by an exact ±1.0
-                # multiply reproduces the nested-where values bit for bit.
-                "stamp_pick": np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)[kind],
-                "stamp_sign": np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])[kind],
+                "stamp_pick": self.stamp_pick[act],
+                "stamp_sign": self.stamp_sign[act],
                 "stamp_flat": self.stamp_flat[act],
                 "p_polarity": self.p_polarity[act],
                 "p_vth": self.p_vth[act],
@@ -402,8 +404,7 @@ class _DCGroup:
         dev = tbl["stamp_dev"]
         gds_e = gds[rows, dev]
         gm_e = gm[rows, dev]
-        # choose is pure selection and the ±1.0 multiply is an exact IEEE
-        # negation, so this matches the former nested-where bit for bit.
+        # BatchPlan's pick/sign decomposition of the scalar stamp values.
         picked = np.choose(tbl["stamp_pick"], (gds_e, gm_e, gds_e + gm_e))
         return picked * tbl["stamp_sign"]
 
@@ -682,116 +683,153 @@ _StampRequest = np.ndarray
 _TransientGen = Generator[_StampRequest, NonlinearStamp, Tuple[TransientResult, int]]
 
 
-def _lane_stamp(assembler: MNAAssembler,
-                ids: np.ndarray, gm: np.ndarray, gds: np.ndarray) -> NonlinearStamp:
-    """Assemble one lane's :class:`NonlinearStamp` from kernel outputs.
+class _TransientTables:
+    """Concatenated gather/scatter tables of one set of transient lanes.
 
-    Emission order and accumulation order follow the assembler's batch
-    plan, which is built in ``nonlinear_stamp`` iteration order — the
-    values array and residual are bitwise identical to the scalar method.
+    Lane ``k`` owns ``x_slices[k]`` of one solution buffer that ends in a
+    shared ground zero (terminal index ``size``), a block of devices in
+    the one kernel call, and ``stamp_slices[k]`` of the stamp values.
+    Residual positions are offset into the lane's own range, so no
+    ``bincount`` bin is shared between lanes and each bin accumulates in
+    its plan's emission order, as the one-lane stamp does.
     """
-    plan = assembler.batch_plan()
-    weights = ids[plan.res_dev] * plan.res_sign
-    residual = np.bincount(
-        plan.res_pos, weights=weights, minlength=assembler.size
-    )
-    gds_e = gds[plan.stamp_dev]
-    gm_e = gm[plan.stamp_dev]
-    sum_e = gds_e + gm_e
-    kind = plan.stamp_kind
-    values = np.where(
-        kind == 0,
-        gds_e,
-        np.where(
-            kind == 1,
-            gm_e,
-            np.where(
-                kind == 2,
-                -sum_e,
-                np.where(kind == 3, -gds_e, np.where(kind == 4, -gm_e, sum_e)),
-            ),
-        ),
-    )
-    return NonlinearStamp(
-        rows=list(plan.stamp_rows),
-        cols=list(plan.stamp_cols),
-        values=values,
-        residual=residual,
-    )
+
+    def __init__(self, plans: Sequence[BatchPlan]) -> None:
+        self.plans = plans
+        x_off = list(accumulate((plan.size for plan in plans), initial=0))
+        dev_off = list(accumulate((plan.n_devices for plan in plans), initial=0))
+        stamp_off = list(accumulate((plan.stamp_dev.size for plan in plans), initial=0))
+        self.size = x_off[-1]
+        self.n_devices = dev_off[-1]
+        self.x_slices = [slice(lo, hi) for lo, hi in zip(x_off, x_off[1:])]
+        self.stamp_slices = [
+            slice(lo, hi) for lo, hi in zip(stamp_off, stamp_off[1:])
+        ]
+
+        def terminals(name: str) -> np.ndarray:
+            parts = []
+            for plan, off in zip(plans, x_off):
+                idx = getattr(plan, name)
+                parts.append(np.where(idx < plan.size, idx + off, self.size))
+            return np.concatenate(parts)
+
+        def offset(name: str, offsets: Sequence[int]) -> np.ndarray:
+            return np.concatenate(
+                [getattr(plan, name) + off for plan, off in zip(plans, offsets)]
+            )
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(plan, name) for plan in plans])
+
+        self.drain = terminals("drain_idx")
+        self.gate = terminals("gate_idx")
+        self.source = terminals("source_idx")
+        self.params = DeviceParams.stack([plan.params for plan in plans])
+        self.res_pos = offset("res_pos", x_off)
+        self.res_dev = offset("res_dev", dev_off)
+        self.res_sign = joined("res_sign")
+        self.stamp_dev = offset("stamp_dev", dev_off)
+        self.stamp_pick = joined("stamp_pick")
+        self.stamp_sign = joined("stamp_sign")
+
+
+#: The shared ground entry that ends every tick's solution buffer.
+_GROUND = np.zeros(1)
 
 
 def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome]:
     """Run many transient analyses with their device stamps batched.
 
-    Every active lane's pending stamp evaluation is concatenated into one
-    vectorised kernel call per tick; the implicit solves stay on each
+    A tick is a fixed set of array operations over every pending lane:
+    one fill of a solution buffer that concatenates the lanes' iterates,
+    one vectorised kernel call, one residual ``bincount`` and one stamp
+    ``choose``, over tables (:class:`_TransientTables`) rebuilt only when
+    a lane finishes.  Each lane's generator then gets its own slices of
+    the residual and stamp values back.  The implicit solves stay on each
     lane's own :class:`~repro.circuit.mna.CachedFactorSolver`, so lanes
     with different topologies (read ladders, write columns) batch
     together.  Waveforms are bitwise identical to per-lane
-    :meth:`TransientSolver.run` calls.
+    :meth:`TransientSolver.run` calls, and an exception raised in one
+    lane (a solver failure, or a stop condition that raises) becomes that
+    lane's outcome without touching the others.
     """
     outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
-    gens: Dict[int, _TransientGen] = {
-        index: _transient_lane(spec.solver, spec.initial_voltages, spec.stop_condition)
-        for index, spec in enumerate(specs)
-    }
-    pending: Dict[int, _StampRequest] = {}
+    gens: List[_TransientGen] = [
+        _transient_lane(spec.solver, spec.initial_voltages, spec.stop_condition)
+        for spec in specs
+    ]
     rejections = 0
     stats = solver_stats()
 
-    def advance(i: int, stamp: Optional[NonlinearStamp]) -> None:
-        """Send lane ``i`` its stamp; queue its next request or finish it."""
+    def advance(
+        lanes: Sequence[int], stamps: Sequence[Optional[NonlinearStamp]]
+    ) -> Tuple[List[int], List[_StampRequest]]:
+        """Send each lane its stamp; return the running lanes' next requests."""
         nonlocal rejections
-        try:
-            pending[i] = gens[i].send(stamp)
-            return
-        except StopIteration as done:
-            outcomes[i], lane_rejections = done.value
-            rejections += lane_rejections
-        except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
-            outcomes[i] = exc
-        del gens[i]
+        running: List[int] = []
+        requests: List[_StampRequest] = []
+        for i, stamp in zip(lanes, stamps):
+            try:
+                request = gens[i].send(stamp)
+            except StopIteration as done:
+                outcomes[i], lane_rejections = done.value
+                rejections += lane_rejections
+            except Exception as exc:  # noqa: BLE001 - lane isolation by design
+                outcomes[i] = exc
+            else:
+                running.append(i)
+                requests.append(request)
+        return running, requests
 
-    for index in range(len(specs)):
-        advance(index, None)
-    stats.batch_lanes += len(gens)
-    while pending:
-        order = sorted(pending)
-        requests = [pending.pop(i) for i in order]
-        plans = [specs[i].solver.assembler.batch_plan() for i in order]
-        counts = [plan.n_devices for plan in plans]
+    live, requests = advance(range(len(specs)), [None] * len(specs))
+    stats.batch_lanes += len(live)
+    tables: Optional[_TransientTables] = None
+    while live:
+        if tables is None:
+            tables = _TransientTables(
+                [specs[i].solver.assembler.batch_plan() for i in live]
+            )
         stats.batch_ticks += 1
-        stats.batch_lane_iterations += len(order)
+        stats.batch_lane_iterations += len(live)
         # This driver re-queues every unfinished lane each tick, so slots
         # equal iterations here; the counter stays coherent with the DC
         # lockstep engine's occupancy ratio.
-        stats.batch_lane_slots += len(order)
+        stats.batch_lane_slots += len(live)
         stats.stamp_evals += 1
-        stats.stamp_device_evals += sum(counts)
-        vd_parts: List[np.ndarray] = []
-        vg_parts: List[np.ndarray] = []
-        vs_parts: List[np.ndarray] = []
-        for x, plan in zip(requests, plans):
-            x_ext = np.concatenate([x, [0.0]])
-            vd_parts.append(x_ext[plan.drain_idx])
-            vg_parts.append(x_ext[plan.gate_idx])
-            vs_parts.append(x_ext[plan.source_idx])
-        params = DeviceParams.stack([plan.params for plan in plans])
+        stats.stamp_device_evals += tables.n_devices
+        solution = np.concatenate(requests + [_GROUND])
         ids, gm, gds = batch_operating_points(
-            np.concatenate(vd_parts),
-            np.concatenate(vg_parts),
-            np.concatenate(vs_parts),
-            params,
+            solution[tables.drain],
+            solution[tables.gate],
+            solution[tables.source],
+            tables.params,
         )
-        offsets = np.cumsum([0] + counts)
-        for pos, i in enumerate(order):
-            lo, hi = offsets[pos], offsets[pos + 1]
-            advance(
-                i,
-                _lane_stamp(
-                    specs[i].solver.assembler, ids[lo:hi], gm[lo:hi], gds[lo:hi]
-                ),
+        residual = np.bincount(
+            tables.res_pos,
+            weights=ids[tables.res_dev] * tables.res_sign,
+            minlength=tables.size,
+        )
+        gds_e = gds[tables.stamp_dev]
+        gm_e = gm[tables.stamp_dev]
+        values = (
+            np.choose(tables.stamp_pick, (gds_e, gm_e, gds_e + gm_e))
+            * tables.stamp_sign
+        )
+        stamps = [
+            NonlinearStamp(
+                rows=plan.stamp_rows,
+                cols=plan.stamp_cols,
+                values=values[stamp_slice],
+                residual=residual[x_slice],
             )
+            for plan, stamp_slice, x_slice in zip(
+                tables.plans, tables.stamp_slices, tables.x_slices
+            )
+        ]
+        running, requests = advance(live, stamps)
+        if len(running) < len(live):
+            tables = None
+        live = running
     record_step_rejections("batch_transient", rejections)
     label = lane_group_label(len(specs))
     for outcome in outcomes:

@@ -155,11 +155,15 @@ class BatchPlan:
     res_dev: np.ndarray
     res_sign: np.ndarray
     #: Jacobian stamp scatter in :meth:`_device_stamp_pairs` emission
-    #: order; ``stamp_kind`` selects among the six per-device values
-    #: ``(gds, gm, -(gds+gm), -gds, -gm, gds+gm)``.
+    #: order.  The six per-device values ``(gds, gm, -(gds+gm), -gds, -gm,
+    #: gds+gm)`` decompose into a pick among ``(gds, gm, gds+gm)`` and a
+    #: ±1.0 sign: ``np.choose(stamp_pick, (gds, gm, gds + gm)) * stamp_sign``
+    #: equals the scalar stamp values bit for bit (choose only selects and
+    #: the multiply by ±1.0 is an exact negation).
     stamp_rows: np.ndarray
     stamp_cols: np.ndarray
-    stamp_kind: np.ndarray
+    stamp_pick: np.ndarray
+    stamp_sign: np.ndarray
     stamp_dev: np.ndarray
 
     @property
@@ -448,6 +452,9 @@ class MNAAssembler:
         drain, gate, source = [], [], []
         res_pos, res_dev, res_sign = [], [], []
         stamp_rows, stamp_cols, stamp_kind, stamp_dev = [], [], [], []
+        # Stamp kind k of _device_stamp_pairs as (component, sign).
+        kind_pick = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
+        kind_sign = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
         for lane, device in enumerate(self.mosfets):
             d = self.index_of(device.drain)
             g = self.index_of(device.gate)
@@ -471,6 +478,7 @@ class MNAAssembler:
                 stamp_kind.append(kind)
                 stamp_dev.append(lane)
 
+        kind = np.asarray(stamp_kind, dtype=np.int64)
         self._batch_plan = BatchPlan(
             size=self.size,
             n_devices=len(self.mosfets),
@@ -483,7 +491,8 @@ class MNAAssembler:
             res_sign=np.asarray(res_sign),
             stamp_rows=np.asarray(stamp_rows, dtype=np.int64),
             stamp_cols=np.asarray(stamp_cols, dtype=np.int64),
-            stamp_kind=np.asarray(stamp_kind, dtype=np.int64),
+            stamp_pick=kind_pick[kind],
+            stamp_sign=kind_sign[kind],
             stamp_dev=np.asarray(stamp_dev, dtype=np.int64),
         )
         return self._batch_plan
@@ -655,6 +664,12 @@ class CachedFactorSolver:
     — its :func:`~scipy.sparse.linalg.splu` factorisation are cached, so a
     linear circuit refactorises only when ``dt`` changes and a nonlinear
     one skips all matrix assembly overhead.
+
+    Every factorisation refills one CSC matrix per solver in place and
+    hands it to :func:`~scipy.sparse.linalg.splu`, which copies what it
+    factors: the structure checks scipy runs on a new matrix (format,
+    index dtype, canonical order) are paid once per solver, not once per
+    factorisation.
     """
 
     #: Distinct c_factor entries kept before the cache is reset (the
@@ -668,6 +683,7 @@ class CachedFactorSolver:
         self.template = JacobianTemplate(assembler, like=like)
         self._static: Dict[float, Tuple[np.ndarray, sparse.csc_matrix]] = {}
         self._lu: Dict[float, Tuple[Optional[np.ndarray], object]] = {}
+        self._jacobian = self.template.matrix(np.zeros(self.template.nnz))
         self.n_factorizations = 0
         self.n_solves = 0
 
@@ -709,12 +725,11 @@ class CachedFactorSolver:
             ):
                 lu = cached_lu
         if lu is None:
+            data = self._jacobian.data
+            np.copyto(data, static_data)
             if values.size:
-                data = static_data.copy()
                 np.add.at(data, self.template.nl_positions, values)
-            else:
-                data = static_data
-            lu = splu(self.template.matrix(data))
+            lu = splu(self._jacobian)
             self.n_factorizations += 1
             stats = solver_stats()
             stats.factorizations += 1

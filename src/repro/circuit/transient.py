@@ -23,6 +23,13 @@ it needs the nonlinear device stamp and receives the stamp back.
 requests of many lanes into one vectorised device-kernel call per tick.
 The linear solves stay on each lane's own
 :class:`~repro.circuit.mna.CachedFactorSolver` in both cases.
+
+Recording costs no per-node work per step: the recorded nodes' indices
+are resolved once per lane (a node named twice is recorded once), every
+accepted solution vector is kept, and the waveforms are gathered from
+them once when the lane ends.  A stop condition still sees a plain
+``{node: volts}`` dict of every recorded node, built by one gather per
+accepted step and only when a stop condition is set.
 """
 
 from __future__ import annotations
@@ -149,21 +156,24 @@ def _transient_lane(
     c_matrix = assembler.capacitance_matrix
 
     x = assembler.initial_solution(initial_voltages)
-    record_nodes = (
+    # Each recorded node once, in first-mention order; its index resolves
+    # here (raising early for typos), with ground reading the zero that
+    # extends the solution vector at index ``size``.
+    record_nodes = list(dict.fromkeys(
         options.record_nodes if options.record_nodes is not None else assembler.node_names
+    ))
+    record_index = np.array(
+        [
+            assembler.size if index is None else index
+            for index in map(assembler.index_of, record_nodes)
+        ],
+        dtype=np.int64,
     )
-    for node in record_nodes:
-        assembler.index_of(node)  # raises early for typos
+    x_ext = np.zeros(assembler.size + 1)
 
     times: List[float] = [0.0]
-    history: Dict[str, List[float]] = {
-        node: [
-            float(x[assembler.index_of(node)])
-            if assembler.index_of(node) is not None
-            else 0.0
-        ]
-        for node in record_nodes
-    }
+    # Accepted solution vectors; the waveforms are gathered once at the end.
+    states: List[np.ndarray] = [x]
 
     time_s = 0.0
     dt_s = options.dt_initial_s
@@ -270,22 +280,23 @@ def _transient_lane(
         time_s += dt_s
         x = solution
         times.append(time_s)
-        voltages_now: Dict[str, float] = {}
-        for node in record_nodes:
-            index = assembler.index_of(node)
-            value = 0.0 if index is None else float(x[index])
-            history[node].append(value)
-            voltages_now[node] = value
+        states.append(x)
 
-        if stop_condition is not None and stop_condition(time_s, voltages_now):
-            stop_reason = "stop-condition"
-            break
+        if stop_condition is not None:
+            x_ext[:-1] = x
+            voltages_now = dict(zip(record_nodes, x_ext[record_index].tolist()))
+            if stop_condition(time_s, voltages_now):
+                stop_reason = "stop-condition"
+                break
 
         dt_s = min(dt_s * options.dt_growth, options.dt_max_s)
 
+    table = np.zeros((assembler.size + 1, len(states)))
+    np.stack(states, axis=1, out=table[:-1])
+    waveforms = table[record_index]
     result = TransientResult(
         times_s=np.asarray(times),
-        voltages={node: np.asarray(values) for node, values in history.items()},
+        voltages=dict(zip(record_nodes, waveforms)),
         converged=True,
         stop_reason=stop_reason,
     )

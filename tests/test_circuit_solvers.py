@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuit.batch import TransientLaneSpec, batch_run_transients
 from repro.circuit.dc import ConvergenceError, dc_operating_point
 from repro.circuit.elements import (
     DC,
@@ -202,6 +203,26 @@ class TestTransient:
                                    record_nodes=["out"])
         result = TransientSolver(circuit, options=options).run()
         assert result.nodes == ["out"]
+
+    @pytest.mark.parametrize("driver", ["one_lane", "lockstep"])
+    def test_duplicate_record_nodes_are_recorded_once(self, driver):
+        def run(record_nodes):
+            circuit = divider_circuit()
+            circuit.add(Capacitor("cload", "out", "0", 1e-15))
+            options = TransientOptions(t_stop_s=1e-11, dt_initial_s=1e-13,
+                                       dt_max_s=1e-12, record_nodes=record_nodes)
+            solver = TransientSolver(circuit, options=options)
+            if driver == "one_lane":
+                return solver.run()
+            (outcome,) = batch_run_transients([TransientLaneSpec(solver)])
+            assert not isinstance(outcome, BaseException), outcome
+            return outcome
+
+        single = run(["out"])
+        doubled = run(["out", "out"])
+        assert doubled.nodes == ["out"]
+        np.testing.assert_array_equal(doubled.times_s, single.times_s)
+        np.testing.assert_array_equal(doubled.voltage("out"), single.voltage("out"))
 
     def test_unknown_record_node_raises(self):
         circuit = divider_circuit()

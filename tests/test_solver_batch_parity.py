@@ -11,7 +11,8 @@ elementwise numerics).  Covered here:
   including a rescue-ladder-in-lockstep batch (starved Newton budget)
   and the explicit scalar fallback under an active rescue context;
 - transient lanes (read and write measurements) through the
-  prepare/finish entry points;
+  prepare/finish entry points, and the isolation of a transient lane
+  whose stop condition raises;
 - the full campaign across all four operations and every paper
   patterning option, batched vs scalar, record for record.
 """
@@ -26,6 +27,7 @@ import pytest
 from repro.circuit.batch import (
     SweepLaneSpec,
     batch_dc_sweep,
+    batch_run_transients,
     run_lane_scalar,
     solve_prepared,
 )
@@ -106,6 +108,27 @@ class TestSweepLaneParity:
         assert solver_stats().scalar_fallbacks >= len(lanes)
         for outcome, scalar in zip(batched, scalars):
             _assert_sweep_equal(outcome, scalar)
+
+
+class TestTransientLaneIsolation:
+    def test_raising_stop_condition_fails_only_its_lane(self, node):
+        def read_lanes():
+            sims = OperationSimulators(node, n_bitline_pairs=4)
+            (first,) = sims.read.prepare_nominal(16, stored_value=0).lanes
+            (second,) = sims.read.prepare_nominal(16, stored_value=1).lanes
+            return first, replace(
+                second, stop_condition=lambda _t, voltages: voltages["no-such-node"] > 0.0
+            )
+
+        outcomes = batch_run_transients(list(read_lanes()))
+        assert isinstance(outcomes[1], KeyError)
+        batched = outcomes[0]
+        alone = run_lane_scalar(read_lanes()[0])
+        assert batched.stop_reason == alone.stop_reason
+        np.testing.assert_array_equal(batched.times_s, alone.times_s)
+        assert batched.nodes == alone.nodes
+        for name in alone.nodes:
+            np.testing.assert_array_equal(batched.voltage(name), alone.voltage(name))
 
 
 class TestPreparedMeasurementParity:
