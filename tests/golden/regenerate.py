@@ -36,7 +36,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -167,21 +167,79 @@ def starved_sweep_lanes() -> List[SweepLaneSpec]:
     return [replace(lane, options=STARVED) for lane in butterfly_lanes()[:4]]
 
 
-def starved_operating_point_lanes() -> List[OperatingPointLaneSpec]:
-    """First and mid-sweep points of the 16-cell butterflies, starved."""
+def _butterfly_points(
+    settings: Sequence[Tuple[NewtonOptions, float]],
+) -> List[OperatingPointLaneSpec]:
+    """First and mid-sweep points of the 16-cell butterflies.
+
+    Point ``k`` takes the Newton options and gmin ``settings[k]``, cycling.
+    """
     lanes = []
     for sweep in butterfly_lanes()[:4]:
         for value in (sweep.values[0], sweep.values[len(sweep.values) // 2]):
+            options, gmin_s = settings[len(lanes) % len(settings)]
             lanes.append(
                 OperatingPointLaneSpec(
                     sweep.circuit,
                     initial_voltages=sweep.initial_voltages,
-                    options=STARVED,
-                    gmin_s=sweep.gmin_s,
+                    options=options,
+                    gmin_s=gmin_s,
                     source_overrides={sweep.source_name: float(value)},
                 )
             )
     return lanes
+
+
+def starved_operating_point_lanes() -> List[OperatingPointLaneSpec]:
+    return _butterfly_points([(STARVED, butterfly_lanes()[0].gmin_s)])
+
+
+#: Per-lane Newton options and gmin for one structurally identical DC
+#: group: the lanes finish on different ticks, and the starved ones enter
+#: the rescue ladder (sweep-point rescue; gmin, source and pseudo-transient
+#: stepping) or exhaust it, so a lockstep engine that mixed up one lane's
+#: options or gmin with another's would move these documents.
+MIXED: Tuple[Tuple[NewtonOptions, float], ...] = (
+    (NewtonOptions(max_iterations=200, abs_tolerance_a=1e-8), 1e-12),
+    (NewtonOptions(max_iterations=2, abs_tolerance_a=1e-8), 1e-12),
+    (
+        NewtonOptions(
+            max_iterations=60, abs_tolerance_a=1e-10, damping=0.7, max_voltage_step_v=0.1
+        ),
+        1e-10,
+    ),
+    (
+        NewtonOptions(
+            max_iterations=3, abs_tolerance_a=3e-9, damping=0.9, max_voltage_step_v=0.5
+        ),
+        1e-11,
+    ),
+    (
+        NewtonOptions(
+            max_iterations=8, abs_tolerance_a=1e-9, damping=1.0, max_voltage_step_v=0.05
+        ),
+        1e-9,
+    ),
+    (
+        NewtonOptions(
+            max_iterations=100, abs_tolerance_a=1e-7, damping=0.5, max_voltage_step_v=0.2
+        ),
+        1e-12,
+    ),
+)
+
+
+def mixed_sweep_lanes() -> List[SweepLaneSpec]:
+    """The 16-cell butterfly sweeps, cycled over the :data:`MIXED` settings."""
+    base = butterfly_lanes()[:4]
+    return [
+        replace(base[k % len(base)], options=options, gmin_s=gmin_s)
+        for k, (options, gmin_s) in enumerate(MIXED)
+    ]
+
+
+def mixed_operating_point_lanes() -> List[OperatingPointLaneSpec]:
+    return _butterfly_points(MIXED)
 
 
 def inverter_chain(stages: int = 32, vin_v: float = 0.2) -> Circuit:
@@ -286,6 +344,8 @@ CASES: Dict[str, tuple] = {
     "transients": (transient_lanes, 0),
     "transients_starved": (starved_transient_lanes, 0),
     "rescue_level_2_seed_7": (rescued_lanes, RESCUE_LEVEL),
+    "butterfly_mixed_options": (mixed_sweep_lanes, 0),
+    "operating_points_mixed_options": (mixed_operating_point_lanes, 0),
 }
 
 
