@@ -30,12 +30,16 @@ scalar ``+=`` sequence.  A lane therefore follows exactly the iterate
 trajectory of the one-lane driver, converges on the same tick with the
 same iteration count, and lands on the same bits.
 
-DC lanes: the group engine advances every active lane's current Newton
+DC lanes: the group engine advances every live lane's current Newton
 target by one iteration per tick, so a lane deep inside a fold rescue
 iterates in the same vectorised tick as a lane cruising along its sweep —
-nothing serialises.  Robustness state stays per lane: converged lanes
-freeze, damping and step limiting are per-lane arrays, and the gmin
-variants a rescue needs are cheap
+nothing serialises.  The live lanes fill the leading slots of the group's
+arrays, so a tick is a fixed set of whole-array operations: one
+solution-buffer gather, one kernel call, one ``bincount`` that yields the
+residuals and the Jacobian scatters together, and one stacked dense
+solve.  A lane that finishes its analysis is compacted out at the end of
+the tick.  Robustness state stays per lane: damping and step limiting
+are per-slot arrays, and the gmin variants a rescue needs are cheap
 :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` clones.  Lanes
 above the dense-solver size threshold (and lanes under an active rescue
 escalation) take the one-lane driver, counted in
@@ -56,8 +60,8 @@ SuperLU's COLAMD-ordered LU, so the records would move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass, field, fields
+from itertools import accumulate, compress
 from typing import (
     Any,
     Callable,
@@ -146,10 +150,18 @@ _DCGen = Generator[NewtonTarget, NewtonResult, Union[DCResult, DCSweepResult]]
 # -- DC lockstep engine -----------------------------------------------------------------
 #
 # All lanes of a group share one structural shape, so each tick evaluates
-# the active lanes' stamps in one kernel call and solves their Jacobians
-# in one batched dense solve.  Per-lane control state (damping, previous
-# residual, iteration count, singular flag) lives in flat arrays indexed
-# by lane; the lane generators of dc.py supply each lane's targets.
+# the live lanes' stamps in one kernel call and solves their Jacobians
+# in one batched dense solve.  Per-lane state (plan tables, Newton
+# options, iterate, damping, previous residual, iteration count) lives in
+# arrays with one row per slot; the lane generators of dc.py supply each
+# lane's targets.
+
+#: :class:`DeviceParams` fields in constructor order.
+_PARAM_FIELDS = tuple(f.name for f in fields(DeviceParams))
+
+#: A DC group's flat tick tables: terminals, device parameters, weight
+#: picks, weight signs and bins (see :meth:`_DCGroup._flat_tables`).
+_FlatTables = Tuple[np.ndarray, DeviceParams, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _DCLane:
@@ -183,36 +195,84 @@ def _structural_key(assembler: MNAAssembler) -> Tuple[int, int, int, int, int]:
 
 
 class _DCGroup:
-    """Lockstep Newton over one structurally identical set of lanes."""
+    """Lockstep Newton over one structurally identical set of lanes.
+
+    Slots: the live lanes fill rows ``0 .. na - 1`` of every per-slot
+    array, in lane order, so a tick reads whole arrays and hands the kernel
+    and the solver the live lanes in their original order.  A lane whose
+    generator finishes is only marked during the tick; at its end
+    :meth:`_compact` gathers the survivors to the front of every per-slot
+    array and rebuilds the flat tick tables once.
+
+    One scatter: the kernel's ``(ids, gds, gm, gds + gm)`` are
+    concatenated, one take and one multiply by ±1 give every residual and
+    Jacobian stamp value in its plan's emission order, and one
+    ``bincount`` adds them into per-lane bins — lane ``j`` owns bins
+    ``[j·size·(size + 1), (j + 1)·size·(size + 1))``, its residual first
+    and its dense stamp matrix after.  Bins are disjoint between lanes and
+    between the two parts, so every bin accumulates the contributions of
+    the one-lane stamp in the same order, and ``S + G`` equals the one-lane
+    ``G + S`` bit for bit.
+    """
+
+    #: Arrays with one row per slot, compacted together.
+    _SLOT_ARRAYS = (
+        "terminals",
+        "params",
+        "weight_block",
+        "weight_dev",
+        "weight_sign",
+        "bin_pos",
+        "abs_tol",
+        "rel_tol",
+        "damping0",
+        "vstep_limit",
+        "max_iter",
+        "g_stack",
+        "x",
+        "b",
+        "damping",
+        "prev_res",
+        "iter",
+    )
 
     def __init__(self, lanes: List[_DCLane]) -> None:
-        self.lanes = lanes
-        solver_stats().batch_lanes += len(lanes)
+        n = len(lanes)
+        self.n_lanes = n
+        solver_stats().batch_lanes += n
         first = lanes[0].base
         self.size = first.size
         self.n_nodes = first.n_nodes
         self.n_devices = first.batch_plan().n_devices
         plans = [lane.base.batch_plan() for lane in lanes]
-        # Per-lane gather/scatter tables.  Lanes share lengths (the
-        # structural key) but not necessarily index patterns, so every
-        # table is 2-D and gathered with take_along_axis per tick.  The
-        # tables are gmin-independent, so one set serves every target a
-        # lane's rescue ladder produces.
-        self.drain_idx = np.stack([p.drain_idx for p in plans])
-        self.gate_idx = np.stack([p.gate_idx for p in plans])
-        self.source_idx = np.stack([p.source_idx for p in plans])
-        self.res_pos = np.stack([p.res_pos for p in plans])
-        self.res_dev = np.stack([p.res_dev for p in plans])
-        self.res_sign = np.stack([p.res_sign for p in plans])
-        self.stamp_flat = np.stack([p.stamp_flat for p in plans])
-        self.stamp_pick = np.stack([p.stamp_pick for p in plans])
-        self.stamp_sign = np.stack([p.stamp_sign for p in plans])
-        self.stamp_dev = np.stack([p.stamp_dev for p in plans])
-        self.p_polarity = np.stack([p.params.polarity for p in plans])
-        self.p_vth = np.stack([p.params.vth_v for p in plans])
-        self.p_k = np.stack([p.params.k_a for p in plans])
-        self.p_alpha = np.stack([p.params.alpha for p in plans])
-        self.p_lambda = np.stack([p.params.lambda_per_v for p in plans])
+        # Lane-local plan tables.  Lanes share lengths (the structural
+        # key) but not necessarily index patterns.  The tables are
+        # gmin-independent, so one set serves every target a lane's
+        # rescue ladder produces.
+        self.terminals = np.stack(
+            [np.stack((p.drain_idx, p.gate_idx, p.source_idx)) for p in plans]
+        )
+        self.params = np.stack(
+            [[getattr(p.params, name) for name in _PARAM_FIELDS] for p in plans]
+        )
+        # One weight per residual entry, then one per stamp entry: the
+        # block of (ids, gds, gm, gds + gm) it reads, its device, its ±1
+        # sign and its bin in the lane's own range.
+        self.weight_block = np.stack(
+            [
+                np.concatenate((np.zeros_like(p.res_dev), 1 + p.stamp_pick))
+                for p in plans
+            ]
+        )
+        self.weight_dev = np.stack(
+            [np.concatenate((p.res_dev, p.stamp_dev)) for p in plans]
+        )
+        self.weight_sign = np.stack(
+            [np.concatenate((p.res_sign, p.stamp_sign)) for p in plans]
+        )
+        self.bin_pos = np.stack(
+            [np.concatenate((p.res_pos, self.size + p.stamp_flat)) for p in plans]
+        )
         opts = [lane.options for lane in lanes]
         self.abs_tol = np.array([o.abs_tolerance_a for o in opts])
         self.rel_tol = np.array([o.rel_tolerance for o in opts])
@@ -220,330 +280,249 @@ class _DCGroup:
         self.vstep_limit = np.array([o.max_voltage_step_v for o in opts])
         self.max_iter = np.array([o.max_iterations for o in opts], dtype=np.int64)
 
-        n = len(lanes)
         self.g_stack = np.zeros((n, self.size, self.size))
         self.x = np.zeros((n, self.size))
         self.b = np.zeros((n, self.size))
         self.damping = self.damping0.copy()
         self.prev_res = np.full(n, np.nan)
         self.iter = np.zeros(n, dtype=np.int64)
-        self.singular = np.zeros(n, dtype=bool)
-        self.last_mr = np.full(n, np.inf)
-        #: Static gather tables keyed by the active-lane tuple.  The active
-        #: set only changes when a lane finishes its whole analysis, so the
-        #: per-tick index gathers amortise to nothing.  Only gmin- and
-        #: state-independent plan data may live here — x, b and g_stack
-        #: change per target and are gathered fresh each tick.
-        self._tables: Dict[bytes, Dict[str, object]] = {}
-        self.active: List[int] = []
-        for i in range(n):
-            if self._resume(i, None):
-                self.active.append(i)
-        #: The active set as an index array, rebuilt lazily — it only
-        #: changes when a lane finishes its whole analysis.
-        self._act_arr = np.asarray(self.active, dtype=np.int64)
-        self._act_dirty = False
-        #: Scratch for the extended kernel-eval state; the trailing
-        #: column is the implicit ground entry and must stay zero.
-        self._x_ext = np.zeros((n, self.size + 1))
+        #: The lane in each slot, and the assembler whose G that slot stacks.
+        self.slots: List[_DCLane] = list(lanes)
+        self._stacked: List[Optional[MNAAssembler]] = [None] * n
+        #: Slots whose lane finished during the current tick.
+        self._finished: List[int] = []
+        for slot in range(n):
+            self._resume(slot, None)
+        self._compact()
 
     # -- lane transitions ---------------------------------------------------------
 
-    def _resume(self, i: int, result: Optional[NewtonResult]) -> bool:
-        """Advance lane ``i``'s generator; install its next Newton target.
+    def _resume(self, slot: int, result: Optional[NewtonResult]) -> None:
+        """Advance the lane in ``slot``; install its next Newton target.
 
-        Returns ``False`` when the generator finished (result or exception
-        captured as the lane outcome).
+        A finished generator (result or exception captured as the lane
+        outcome) only marks the slot; :meth:`_compact` drops it.
         """
-        lane = self.lanes[i]
+        lane = self.slots[slot]
         try:
             target = lane.gen.send(result)
         except StopIteration as done:
             lane.outcome = done.value
-            return False
+            self._finished.append(slot)
+            return
         except Exception as exc:  # noqa: BLE001 - lane isolation by design
             lane.outcome = exc
-            return False
+            self._finished.append(slot)
+            return
         # Lockstep lanes run at escalation level 0 (the entry points demote
         # rescued lanes), where every target carries the lane's options.
         assembler, b, x0, _options = target
-        self.g_stack[i] = assembler.dense_system().g_dense
-        self.b[i] = b
-        self.x[i] = x0
-        self.damping[i] = self.damping0[i]
-        self.prev_res[i] = np.nan
-        self.iter[i] = 0
-        self.singular[i] = False
-        self.last_mr[i] = np.inf
-        return True
+        # Sweep continuation points reuse the lane's base assembler, whose
+        # G the slot already holds.
+        if assembler is not self._stacked[slot]:
+            self._stacked[slot] = assembler
+            self.g_stack[slot] = assembler.dense_system().g_dense
+        self.b[slot] = b
+        self.x[slot] = x0
+        self.damping[slot] = self.damping0[slot]
+        self.prev_res[slot] = np.nan
+        self.iter[slot] = 0
 
-    def _resolve(self, i: int, converged: bool, iterations: int) -> None:
-        """Report lane ``i``'s finished target back to its generator."""
+    def _resolve(
+        self,
+        slot: int,
+        converged: bool,
+        iterations: int,
+        max_residual: float,
+        singular: bool = False,
+    ) -> None:
+        """Report the finished target of the lane in ``slot`` to its generator."""
         result: NewtonResult = (
-            self.x[i].copy(),
+            self.x[slot].copy(),
             int(iterations),
             converged,
-            float(self.last_mr[i]),
-            bool(self.singular[i]),
+            float(max_residual),
+            singular,
         )
-        if not self._resume(i, result):
-            self.active.remove(i)
-            self._act_dirty = True
+        self._resume(slot, result)
 
-    # -- batched helpers ----------------------------------------------------------
+    def _compact(self) -> None:
+        """Gather the live lanes to the front; rebuild the flat tick tables."""
+        if self._finished:
+            keep = np.ones(len(self.slots), dtype=bool)
+            keep[self._finished] = False
+            for name in self._SLOT_ARRAYS:
+                setattr(self, name, getattr(self, name)[keep])
+            self.slots = list(compress(self.slots, keep))
+            self._stacked = list(compress(self._stacked, keep))
+            self._finished = []
+        if self.slots:
+            self._tables = self._flat_tables(slice(None))
+            #: Solution buffer; the last column is the ground zero.
+            self._solution = np.zeros((len(self.slots), self.size + 1))
 
-    def _tables_for(self, act: np.ndarray) -> Dict[str, object]:
-        """Static gather tables for one set of lanes (memoised).
+    # -- batched evaluation -------------------------------------------------------
 
-        The main tick always passes the full active set, whose tuple is
-        stable across target transitions; secondary-check subsets slice
-        these tables positionally instead of re-gathering.
+    def _flat_tables(self, sel: Union[slice, np.ndarray]) -> _FlatTables:
+        """Terminals, parameters, weight picks, signs and bins of slots ``sel``.
+
+        Lane ``j`` of the selection owns row ``j`` of the solution buffer
+        and devices ``[j·D, (j + 1)·D)`` of the kernel call.
         """
-        key = act.tobytes()
-        tbl = self._tables.get(key)
-        if tbl is None:
-            if len(self._tables) > 64:
-                self._tables.clear()
-            na = act.size
-            tbl = {
-                "rows": np.arange(na)[:, None],
-                "drain": self.drain_idx[act],
-                "gate": self.gate_idx[act],
-                "source": self.source_idx[act],
-                "res_dev": self.res_dev[act],
-                "res_sign": self.res_sign[act],
-                "res_pos": self.res_pos[act],
-                "res_flat": (
-                    self.res_pos[act] + (np.arange(na) * self.size)[:, None]
-                ).reshape(-1),
-                "stamp_dev": self.stamp_dev[act],
-                "stamp_pick": self.stamp_pick[act],
-                "stamp_sign": self.stamp_sign[act],
-                "stamp_flat": self.stamp_flat[act],
-                "p_polarity": self.p_polarity[act],
-                "p_vth": self.p_vth[act],
-                "p_k": self.p_k[act],
-                "p_alpha": self.p_alpha[act],
-                "p_lambda": self.p_lambda[act],
-            }
-            tbl["params_full"] = self._params_from(tbl, slice(None))
-            self._tables[key] = tbl
-        return tbl
-
-    @staticmethod
-    def _params_from(tbl: Dict[str, object], sel) -> DeviceParams:
-        return DeviceParams(
-            polarity=tbl["p_polarity"][sel].reshape(-1),
-            vth_v=tbl["p_vth"][sel].reshape(-1),
-            k_a=tbl["p_k"][sel].reshape(-1),
-            alpha=tbl["p_alpha"][sel].reshape(-1),
-            lambda_per_v=tbl["p_lambda"][sel].reshape(-1),
+        terminals = self.terminals[sel]
+        k = terminals.shape[0]
+        d = self.n_devices
+        lane = np.arange(k)[:, None]
+        pick = self.weight_block[sel] * (k * d) + self.weight_dev[sel] + lane * d
+        bins = self.bin_pos[sel] + lane * (self.size * (self.size + 1))
+        return (
+            (terminals + lane[:, :, None] * (self.size + 1))
+            .transpose(1, 0, 2)
+            .reshape(3, -1),
+            DeviceParams(
+                *self.params[sel].transpose(1, 0, 2).reshape(len(_PARAM_FIELDS), -1)
+            ),
+            pick.reshape(-1),
+            self.weight_sign[sel].reshape(-1),
+            bins.reshape(-1),
         )
 
-    def _eval_devices(
-        self, act: np.ndarray, x_sel: np.ndarray, sel=slice(None)
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kernel-evaluate the devices of ``act[sel]`` lanes at ``x_sel``."""
+    def _assemble(
+        self, tables: _FlatTables, x: np.ndarray, g_stack: np.ndarray, b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Residuals ``G·x + I_nl(x) − b`` and stamp matrices of lanes at ``x``.
+
+        ``tables`` come from :meth:`_flat_tables`; ``x``, ``g_stack`` and
+        ``b`` hold the same lanes in the same order.
+        """
+        terminals, params, pick, sign, bins = tables
+        k, size = x.shape
         stats = solver_stats()
-        n_sel = x_sel.shape[0]
         stats.stamp_evals += 1
-        stats.stamp_device_evals += n_sel * self.n_devices
-        tbl = self._tables_for(act)
-        x_ext = self._x_ext[:n_sel]
-        x_ext[:, :-1] = x_sel
-        rows = tbl["rows"][:n_sel]
-        vd = x_ext[rows, tbl["drain"][sel]]
-        vg = x_ext[rows, tbl["gate"][sel]]
-        vs = x_ext[rows, tbl["source"][sel]]
-        params = (
-            tbl["params_full"]
-            if isinstance(sel, slice)
-            else self._params_from(tbl, sel)
-        )
-        ids, gm, gds = batch_operating_points(
-            vd.reshape(-1),
-            vg.reshape(-1),
-            vs.reshape(-1),
-            params,
-        )
-        shape = (n_sel, self.n_devices)
-        return ids.reshape(shape), gm.reshape(shape), gds.reshape(shape)
-
-    def _residual(
-        self, act: np.ndarray, x_sel: np.ndarray, ids: np.ndarray, sel=slice(None)
-    ) -> np.ndarray:
-        """``G·x + I_nl(x) − b`` per lane, matching the scalar op order."""
-        # bincount accumulates equal indices sequentially in input order,
-        # reproducing the scalar per-device "+ids at drain, −ids at source"
-        # emission sequence bitwise.
-        tbl = self._tables_for(act)
-        n_sel = x_sel.shape[0]
-        rows = tbl["rows"][:n_sel]
-        weights = ids[rows, tbl["res_dev"][sel]] * tbl["res_sign"][sel]
-        if isinstance(sel, slice):
-            flat = tbl["res_flat"]
-        else:
-            flat = (
-                tbl["res_pos"][sel] + (np.arange(n_sel) * self.size)[:, None]
-            ).reshape(-1)
-        res_nl = np.bincount(
-            flat,
-            weights=weights.reshape(-1),
-            minlength=n_sel * self.size,
-        ).reshape(n_sel, self.size)
-        lane_idx = act[sel]
-        g_dot_x = np.matmul(self.g_stack[lane_idx], x_sel[:, :, None])[:, :, 0]
-        return g_dot_x + res_nl - self.b[lane_idx]
-
-    def _stamp_values(
-        self, act: np.ndarray, gm: np.ndarray, gds: np.ndarray
-    ) -> np.ndarray:
-        """Jacobian stamp values in scalar emission order, per lane."""
-        tbl = self._tables_for(act)
-        rows = tbl["rows"]
-        dev = tbl["stamp_dev"]
-        gds_e = gds[rows, dev]
-        gm_e = gm[rows, dev]
-        # BatchPlan's pick/sign decomposition of the scalar stamp values.
-        picked = np.choose(tbl["stamp_pick"], (gds_e, gm_e, gds_e + gm_e))
-        return picked * tbl["stamp_sign"]
-
-    def _matrices(
-        self, act: np.ndarray, cont: np.ndarray, stamp_values: np.ndarray
-    ) -> np.ndarray:
-        """Dense Jacobians of the ``act[cont]`` lanes."""
-        tbl = self._tables_for(act)
-        n_sel = stamp_values.shape[0]
-        flat = tbl["stamp_flat"][cont] + (
-            np.arange(n_sel) * self.size * self.size
-        )[:, None]
-        scatter = np.bincount(
-            flat.reshape(-1),
-            weights=stamp_values.reshape(-1),
-            minlength=n_sel * self.size * self.size,
-        ).reshape(n_sel, self.size, self.size)
-        return self.g_stack[act[cont]] + scatter
+        stats.stamp_device_evals += k * self.n_devices
+        solution = self._solution[:k]
+        solution[:, :size] = x
+        v = solution.reshape(-1)[terminals]
+        ids, gm, gds = batch_operating_points(v[0], v[1], v[2], params)
+        weights = np.concatenate((ids, gds, gm, gds + gm))[pick] * sign
+        scattered = np.bincount(
+            bins, weights=weights, minlength=k * size * (size + 1)
+        ).reshape(k, size + 1, size)
+        g_dot_x = np.matmul(g_stack, x[:, :, None])[:, :, 0]
+        return g_dot_x + scattered[:, 0] - b, scattered[:, 1:]
 
     # -- the tick ----------------------------------------------------------------
 
     def run(self) -> None:
-        while self.active:
+        while self.slots:
             self._tick()
+            if self._finished:
+                self._compact()
 
     def _tick(self) -> None:
         stats = solver_stats()
-        if self._act_dirty:
-            self._act_arr = np.asarray(self.active, dtype=np.int64)
-            self._act_dirty = False
-        act = self._act_arr
+        na = len(self.slots)
         stats.batch_ticks += 1
-        stats.batch_lane_iterations += act.size
-        stats.batch_lane_slots += len(self.lanes)
-        self.iter[act] += 1
-        x_act = self.x[act]
-        ids, gm, gds = self._eval_devices(act, x_act)
-        residual = self._residual(act, x_act, ids)
+        stats.batch_lane_iterations += na
+        stats.batch_lane_slots += self.n_lanes
+        self.iter += 1
+        residual, matrices = self._assemble(self._tables, self.x, self.g_stack, self.b)
         max_res = np.abs(residual).max(axis=1)
-        self.last_mr[act] = max_res
-        for pos in np.nonzero(max_res < self.abs_tol[act])[0]:
-            i = int(act[pos])
-            self._resolve(i, True, int(self.iter[i]))
-
-        cont = max_res >= self.abs_tol[act]
         # NaN residuals fall through to the solve exactly as the scalar
         # loop does (NaN < tol and NaN >= prev are both False).
-        cont |= np.isnan(max_res)
-        if not cont.any():
-            return
-        idx = act[cont]
-        x_c = x_act[cont]
-        res_c = residual[cont]
-        mr_c = max_res[cont]
-
-        has_prev = ~np.isnan(self.prev_res[idx])
-        d = self.damping[idx]
+        converged = max_res < self.abs_tol
+        # Every lane steps its damping; a converged lane's next target
+        # resets it.  A NaN previous residual marks a target's first
+        # iteration.
+        d = self.damping
         with np.errstate(invalid="ignore"):
-            worse = mr_c >= self.prev_res[idx]
+            worse = max_res >= self.prev_res
         stepped = np.where(
             worse,
-            np.maximum(d * 0.5, self.damping0[idx] / 256.0),
-            np.minimum(d * 1.5, self.damping0[idx]),
+            np.maximum(d * 0.5, self.damping0 / 256.0),
+            np.minimum(d * 1.5, self.damping0),
         )
-        self.damping[idx] = np.where(has_prev, stepped, d)
-        self.prev_res[idx] = mr_c
+        self.damping = np.where(np.isnan(self.prev_res), d, stepped)
+        self.prev_res[:] = max_res
+        matrices += self.g_stack
+        if converged.any():
+            for slot in np.flatnonzero(converged):
+                self._resolve(slot, True, self.iter[slot], max_res[slot])
+            cont = np.flatnonzero(~converged)
+            if cont.size == 0:
+                return
+        else:
+            cont = slice(None)
 
-        stamp_values = self._stamp_values(act, gm, gds)[cont]
-        matrices = self._matrices(act, cont, stamp_values)
-        stats.factorizations += idx.size
-        stats.dense_solves += idx.size
-        singular = np.zeros(idx.size, dtype=bool)
+        matrices = matrices[cont]
+        rhs = -residual[cont]
+        count = rhs.shape[0]
+        stats.factorizations += count
+        stats.dense_solves += count
         try:
-            delta = np.linalg.solve(matrices, -res_c[:, :, None])[:, :, 0]
+            delta = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # One singular lane poisons the stacked call; redo per lane
-            # (bitwise identical to the batched solve) and mark offenders.
-            delta = np.zeros((idx.size, self.size))
-            for j in range(idx.size):
+            # (bitwise identical to the batched solve).  The scalar loop
+            # reports the pre-solve iterate and residual and lets the
+            # caller's gmin ladder regularise and retry.
+            delta = np.zeros((count, self.size))
+            singular = np.zeros(count, dtype=bool)
+            for j in range(count):
                 try:
-                    delta[j] = np.linalg.solve(matrices[j], -res_c[j])
+                    delta[j] = np.linalg.solve(matrices[j], rhs[j])
                 except np.linalg.LinAlgError:
                     singular[j] = True
-        for j in np.nonzero(singular)[0]:
-            i = int(idx[j])
-            # The scalar loop reports the pre-solve iterate and residual
-            # and lets the caller's gmin ladder regularise and retry.
-            self.singular[i] = True
-            self._resolve(i, False, int(self.iter[i]))
-        if singular.any():
-            keep = ~singular
-            idx = idx[keep]
-            if idx.size == 0:
+            slots = np.arange(na)[cont]
+            for slot in slots[singular]:
+                self._resolve(
+                    slot, False, self.iter[slot], max_res[slot], singular=True
+                )
+            cont = slots[~singular]
+            if cont.size == 0:
                 return
-            x_c = x_c[keep]
-            delta = delta[keep]
+            delta = delta[~singular]
 
-        node_delta = delta[:, : self.n_nodes]
-        max_step = np.abs(node_delta).max(axis=1)
-        limit = self.vstep_limit[idx]
+        max_step = np.abs(delta[:, : self.n_nodes]).max(axis=1)
+        limit = self.vstep_limit[cont]
+        damping = self.damping[cont]
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(
                 (max_step > limit) & (limit > 0.0),
-                self.damping[idx] * (limit / max_step),
-                self.damping[idx],
+                damping * (limit / max_step),
+                damping,
             )
-        x_new = x_c + scale[:, None] * delta
-        self.x[idx] = x_new
-
-        # Secondary convergence check on the update (scalar loop's "helps
-        # linear circuits finish in one extra iteration" branch).
-        x_node_max = np.abs(x_new[:, : self.n_nodes]).max(axis=1)
-        with np.errstate(invalid="ignore"):
-            update_small = max_step * scale < self.rel_tol[idx] * np.maximum(
+            x_new = self.x[cont] + scale[:, None] * delta
+            x_node_max = np.abs(x_new[:, : self.n_nodes]).max(axis=1)
+            update_small = max_step * scale < self.rel_tol[cont] * np.maximum(
                 1.0, x_node_max
             )
-        still = np.ones(idx.size, dtype=bool)
+        self.x[cont] = x_new
+        exhausted = self.iter[cont] >= self.max_iter[cont]
+        if not (update_small.any() or exhausted.any()):
+            return
+        slots = np.arange(na)[cont]
         if update_small.any():
-            sub = idx[update_small]
-            sub_pos = np.nonzero(cont)[0][update_small]
-            ids2, _gm2, _gds2 = self._eval_devices(
-                act, x_new[update_small], sub_pos
+            # Secondary convergence check on the update (scalar loop's
+            # "helps linear circuits finish in one extra iteration"
+            # branch), evaluated for its own slots only.
+            sub = slots[update_small]
+            residual2, _ = self._assemble(
+                self._flat_tables(sub),
+                x_new[update_small],
+                self.g_stack[sub],
+                self.b[sub],
             )
-            res2 = self._residual(act, x_new[update_small], ids2, sub_pos)
-            mr2 = np.abs(res2).max(axis=1)
+            mr2 = np.abs(residual2).max(axis=1)
             # The scalar path overwrites max_residual here whether or not
             # the check passes.
-            self.last_mr[sub] = mr2
+            max_res[sub] = mr2
             passed = mr2 < self.abs_tol[sub] * 10.0
-            for j in np.nonzero(passed)[0]:
-                self._resolve(int(sub[j]), True, int(self.iter[int(sub[j])]))
-            keep = np.ones(idx.size, dtype=bool)
-            keep[np.nonzero(update_small)[0][passed]] = False
-            still = keep
-
-        for i in idx[still]:
-            i = int(i)
-            if self.iter[i] >= self.max_iter[i]:
-                self._resolve(i, False, int(self.max_iter[i]))
+            for slot in sub[passed]:
+                self._resolve(slot, True, self.iter[slot], max_res[slot])
+            exhausted[np.flatnonzero(update_small)[passed]] = False
+        for slot in slots[exhausted]:
+            self._resolve(slot, False, self.max_iter[slot], max_res[slot])
 
 
 def _run_dc_lockstep(lanes: List[_DCLane]) -> None:

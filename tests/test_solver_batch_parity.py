@@ -10,6 +10,8 @@ elementwise numerics).  Covered here:
 - DC-sweep lanes (the SNM butterfly hot path) at batch sizes 1/3/17/64,
   including a rescue-ladder-in-lockstep batch (starved Newton budget)
   and the explicit scalar fallback under an active rescue context;
+- operating-point lanes whose singular Jacobian and update-size
+  convergence check land on the same lockstep tick;
 - transient lanes (read and write measurements) through the
   prepare/finish entry points, and the isolation of a transient lane
   whose stop condition raises;
@@ -25,18 +27,24 @@ import numpy as np
 import pytest
 
 from repro.circuit.batch import (
+    OperatingPointLaneSpec,
     SweepLaneSpec,
+    batch_dc_operating_points,
     batch_dc_sweep,
     batch_run_transients,
     run_lane_scalar,
     solve_prepared,
 )
-from repro.circuit.dc import NewtonOptions, solver_rescue
+from repro.circuit.dc import ConvergenceError, NewtonOptions, solver_rescue
+from repro.circuit.elements import Resistor, VoltageSource
 from repro.circuit.mna import reset_solver_stats, solver_stats
+from repro.circuit.mosfet import MOSFET
+from repro.circuit.netlist import Circuit
 from repro.core.campaign import SimulationCampaign, scenario_grid
 from repro.core.operations import OperationSimulators
 from repro.core.study import StudyDOE
 from repro.technology import n10
+from repro.technology.transistors import default_n10_nmos, default_n10_pmos
 
 RTOL = 1e-12
 
@@ -108,6 +116,40 @@ class TestSweepLaneParity:
         assert solver_stats().scalar_fallbacks >= len(lanes)
         for outcome, scalar in zip(batched, scalars):
             _assert_sweep_equal(outcome, scalar)
+
+
+def _floating_gate_inverter():
+    """An inverter whose input node touches only the two gates."""
+    circuit = Circuit("floating-gate-inverter")
+    circuit.add(VoltageSource.dc("vdd", "vdd", "0", 0.7))
+    circuit.add(MOSFET("mp", "out", "in", "vdd", default_n10_pmos()))
+    circuit.add(MOSFET("mn", "out", "in", "0", default_n10_nmos()))
+    circuit.add(Resistor("rload", "out", "0", 100e3))
+    return circuit
+
+
+class TestOperatingPointLaneIsolation:
+    def test_singular_and_update_checked_lanes_in_one_tick(self):
+        # At gmin 0 the input row of the first lane is empty, so every
+        # Newton iteration before the pseudo-transient rung hits a
+        # singular Jacobian.  The second lane can never pass the residual
+        # test (zero tolerance), so it takes the update-size check on the
+        # same ticks.  Both must come out as they do one lane at a time.
+        circuit = _floating_gate_inverter()
+        lanes = [
+            OperatingPointLaneSpec(circuit, gmin_s=0.0),
+            OperatingPointLaneSpec(
+                circuit, options=NewtonOptions(abs_tolerance_a=0.0, max_iterations=20)
+            ),
+        ]
+        singular, exhausted = batch_dc_operating_points(lanes)
+        alone = run_lane_scalar(lanes[0])
+        assert singular.iterations == alone.iterations
+        assert singular.voltages == alone.voltages
+        with pytest.raises(ConvergenceError) as raised:
+            run_lane_scalar(lanes[1])
+        assert type(exhausted) is ConvergenceError
+        assert str(exhausted) == str(raised.value)
 
 
 class TestTransientLaneIsolation:
