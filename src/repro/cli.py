@@ -40,6 +40,8 @@ never a traceback), 3 when a ``run`` completes *partially* (a ``skip`` or
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -1062,6 +1064,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``--output`` files are written atomically, so a crashed or
     interrupted run never leaves a half-written report behind.
     """
+    # Freeze the heap at interpreter exit, so the teardown collection
+    # skips every object alive then (~0.15 s of each ``repro`` process).
+    # Nothing durable waits on that collection: outputs are written
+    # atomically or flushed with the standard streams, and Python does
+    # not promise ``__del__`` for objects alive at exit.  Re-registering
+    # keeps one handler across repeated in-process calls.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -127,14 +127,18 @@ def record_specs() -> Dict[str, Any]:
     return specs
 
 
-def records_document(spec: Any) -> Dict[str, Any]:
-    document = json.loads(api.run(spec).to_json())
+def without_provenance(document: Dict[str, Any]) -> Dict[str, Any]:
+    """A ResultSet JSON document without its timings and batch provenance."""
     for key in TOP_LEVEL_DROPPED:
         document.pop(key, None)
     for record in document["records"]:
         for key in RECORD_DROPPED:
             record.pop(key, None)
     return document
+
+
+def records_document(spec: Any) -> Dict[str, Any]:
+    return without_provenance(json.loads(api.run(spec).to_json()))
 
 
 # -- solver lanes -----------------------------------------------------------------------

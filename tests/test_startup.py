@@ -1,4 +1,4 @@
-"""``repro`` starts without the heavy optional modules.
+"""``repro`` starts without the heavy optional modules and exits fast.
 
 One fresh interpreter blocks ``scipy.stats`` and ``networkx`` (a ``None``
 entry in ``sys.modules`` makes any import of them raise ``ImportError``),
@@ -6,16 +6,27 @@ runs the smoke spec through the CLI, recomputes the smoke golden record
 document and reports which modules it loaded.  A new eager import of
 either module, or of the scipy subpackages that ``scipy.stats`` drags in,
 fails here before it shows up as start-up time.
+
+Another runs the smoke spec through ``repro.cli.main`` and checks that the
+heap is frozen when the interpreter exits, which spares the teardown
+collection, while the printed document still equals the smoke golden.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+_GOLDEN = importlib.util.spec_from_file_location(
+    "golden_regenerate", ROOT / "tests" / "golden" / "regenerate.py"
+)
+golden = importlib.util.module_from_spec(_GOLDEN)
+_GOLDEN.loader.exec_module(golden)
 
 BLOCKED = ("scipy.stats", "networkx")
 NOT_LOADED = (
@@ -79,3 +90,35 @@ def test_smoke_run_without_scipy_stats_or_networkx():
     assert report["n_records"] > 0
     assert report["golden_equal"]
     assert report["loaded"] == []
+
+
+EXIT_CHILD = """
+import atexit, gc, json, sys
+root = sys.argv[1]
+# atexit runs handlers last in, first out: this probe, registered before
+# cli.main registers gc.freeze, runs after it.
+atexit.register(
+    lambda: sys.stderr.write(json.dumps({"freeze_count": gc.get_freeze_count()}) + "\\n")
+)
+sys.path.insert(0, root + "/src")
+
+from repro import cli
+
+sys.exit(cli.main(["run", root + "/examples/specs/smoke.json", "--format", "json"]))
+"""
+
+
+def test_cli_freezes_the_heap_at_exit():
+    completed = subprocess.run(
+        [sys.executable, "-c", EXIT_CHILD, str(ROOT)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    probe = json.loads(completed.stderr.splitlines()[-1])
+    assert probe["freeze_count"] > 0
+    document = golden.without_provenance(json.loads(completed.stdout))
+    stored = (golden.RECORDS_DIR / "smoke.json").read_text(encoding="utf-8")
+    assert golden.render(document) == stored
