@@ -405,9 +405,12 @@ class _DCGroup:
         v = solution.reshape(-1)[terminals]
         ids, gm, gds = batch_operating_points(v[0], v[1], v[2], params)
         weights = np.concatenate((ids, gds, gm, gds + gm))[pick] * sign
-        scattered = np.bincount(
-            bins, weights=weights, minlength=k * size * (size + 1)
-        ).reshape(k, size + 1, size)
+        # An empty bincount (lanes without devices) returns integers.
+        scattered = (
+            np.bincount(bins, weights=weights, minlength=k * size * (size + 1))
+            .astype(float, copy=False)
+            .reshape(k, size + 1, size)
+        )
         g_dot_x = np.matmul(g_stack, x[:, :, None])[:, :, 0]
         return g_dot_x + scattered[:, 0] - b, scattered[:, 1:]
 

@@ -11,7 +11,8 @@ elementwise numerics).  Covered here:
   including a rescue-ladder-in-lockstep batch (starved Newton budget)
   and the explicit scalar fallback under an active rescue context;
 - operating-point lanes whose singular Jacobian and update-size
-  convergence check land on the same lockstep tick;
+  convergence check land on the same lockstep tick, and device-free
+  (linear) DC lanes;
 - transient lanes (read and write measurements) through the
   prepare/finish entry points, and the isolation of a transient lane
   whose stop condition raises;
@@ -150,6 +151,30 @@ class TestOperatingPointLaneIsolation:
             run_lane_scalar(lanes[1])
         assert type(exhausted) is ConvergenceError
         assert str(exhausted) == str(raised.value)
+
+
+def _divider():
+    """A resistive divider: a DC lane with no MOSFET to stamp."""
+    circuit = Circuit("divider")
+    circuit.add(VoltageSource.dc("vdd", "vdd", "0", 0.7))
+    circuit.add(Resistor("r1", "vdd", "mid", 1e3))
+    circuit.add(Resistor("r2", "mid", "0", 3e3))
+    return circuit
+
+
+class TestDeviceFreeLanes:
+    def test_linear_lanes_match_scalar(self):
+        points = [
+            OperatingPointLaneSpec(_divider()),
+            OperatingPointLaneSpec(_divider(), gmin_s=1e-9),
+        ]
+        for lane, outcome in zip(points, batch_dc_operating_points(points)):
+            alone = run_lane_scalar(lane)
+            assert outcome.iterations == alone.iterations
+            assert outcome.voltages == alone.voltages
+        sweeps = [SweepLaneSpec(_divider(), "vdd", [0.0, 0.35, 0.7])]
+        for lane, outcome in zip(sweeps, batch_dc_sweep(sweeps)):
+            _assert_sweep_equal(outcome, run_lane_scalar(lane))
 
 
 class TestTransientLaneIsolation:
