@@ -16,10 +16,8 @@ import pytest
 from repro.reporting import figure4_csv, format_figure4
 
 
-def test_fig4_worst_case_td(benchmark, worst_case_study, simulator):
-    rows = benchmark.pedantic(
-        worst_case_study.figure4, kwargs={"simulator": simulator}, rounds=1, iterations=1
-    )
+def test_fig4_worst_case_td(benchmark, worst_case_study):
+    rows = benchmark.pedantic(worst_case_study.figure4, rounds=1, iterations=1)
     print("\n" + format_figure4(rows))
     print("\n" + figure4_csv(rows))
 

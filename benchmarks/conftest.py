@@ -65,12 +65,11 @@ def worst_case_study(node, doe):
 
 
 @pytest.fixture(scope="session")
-def validation(node, doe, analytical_model, simulator, worst_case_study):
+def validation(node, doe, analytical_model, worst_case_study):
     return FormulaValidation(
         node,
         doe=doe,
         model=analytical_model,
-        simulator=simulator,
         worst_case=worst_case_study,
     )
 

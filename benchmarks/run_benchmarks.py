@@ -12,10 +12,9 @@ and N concurrent clients hammering the cached entry, writing
 ``BENCH_service.json`` (warm-cache speedup floor: 10x).
 
 ``--suite sim`` times the simulated half (Fig. 4 / Tables II–III): the
-sequential per-experiment pipelines (fresh ``WorstCaseStudy`` +
-``FormulaValidation`` per table, the pre-campaign CLI behaviour) against
-the :class:`SimulationCampaign` engine at one and at ``--sim-workers``
-processes, verifies row-level parity, and writes ``BENCH_sim.json``.
+pre-campaign scalar corner loop against the :class:`SimulationCampaign`
+engine at one and at ``--sim-workers`` processes, verifies row-level
+parity, and writes ``BENCH_sim.json``.
 
 ``--suite faults`` is the chaos bench: it runs a small campaign under
 injected solver faults (``repro.testing.faults``) and measures the cost
@@ -52,9 +51,9 @@ The MC JSON schema (see README.md, "performance notes"):
   (``wall_s``, ``samples_per_s``) and the point's σ(tdp);
 * ``summary`` — the total wall time and the samples/sec of the pipeline.
 
-The sim JSON carries ``sequential.wall_s``, per-worker-count campaign
-walls, the derived speedups and a ``parity.max_rel_diff`` over every
-Fig. 4 / Table II / Table III value.
+The sim JSON carries ``baselines.scalar_loop.wall_s``, per-worker-count
+campaign walls, the derived speedups and a ``parity.max_rel_diff`` over
+every Fig. 4 / Table II / Table III value.
 """
 
 from __future__ import annotations
@@ -75,8 +74,6 @@ from repro.obs import history as bench_history  # noqa: E402
 from repro.core.analytical import model_from_technology  # noqa: E402
 from repro.core.campaign import SimulationCampaign, scenario_grid  # noqa: E402
 from repro.core.montecarlo import MonteCarloTdpStudy  # noqa: E402
-from repro.core.operations import OperationSimulators  # noqa: E402
-from repro.core.validation import FormulaValidation  # noqa: E402
 from repro.core.worst_case import WorstCaseStudy  # noqa: E402
 from repro.sram.read_path import ReadPathSimulator  # noqa: E402
 from repro.technology.node import n10  # noqa: E402
@@ -236,18 +233,6 @@ def _scalar_loop_rows(node, doe, model):
     return figure4, table2, table3
 
 
-def _sequential_rows(node, doe, model):
-    """Fig. 4 / Table II / Table III through fresh per-experiment pipelines,
-    mirroring three independent CLI invocations (with this PR's simulator
-    caches active — a tighter baseline than the scalar loop)."""
-    figure4 = WorstCaseStudy(node, doe=doe).figure4(
-        simulator=ReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    )
-    table2 = FormulaValidation(node, doe=doe, model=model).table2()
-    table3 = FormulaValidation(node, doe=doe, model=model).table3()
-    return figure4, table2, table3
-
-
 def _campaign_rows(node, doe, model, workers):
     campaign = SimulationCampaign(node, doe=doe)
     results = campaign.run(workers=workers)
@@ -281,11 +266,6 @@ def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
     )
     print(f"scalar corner loop          {scalar_wall*1e3:9.2f} ms")
 
-    sequential_wall, seq_rows = _best_of(
-        repetitions, lambda: _sequential_rows(node, doe, model)
-    )
-    print(f"sequential pipelines        {sequential_wall*1e3:9.2f} ms")
-
     walls = {}
     campaign_rows = {}
     effective_workers = {}
@@ -305,7 +285,7 @@ def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
 
     reference = np.asarray(_rows_as_values(*scalar_rows))
     max_rel_diff = 0.0
-    for rows in list(campaign_rows.values()) + [seq_rows]:
+    for rows in campaign_rows.values():
         values = np.asarray(_rows_as_values(*rows))
         scale = np.maximum(np.abs(reference), 1e-30)
         max_rel_diff = max(
@@ -329,13 +309,6 @@ def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
                     "call), fresh pipeline and corner search per experiment"
                 ),
             },
-            "sequential_pipelines": {
-                "wall_s": round(sequential_wall, 6),
-                "description": (
-                    "fig4/table2/table3 as three fresh cached pipelines "
-                    "(per-command CLI behaviour with this PR's caches)"
-                ),
-            },
         },
         "campaign": {
             f"workers_{n}": {
@@ -347,10 +320,6 @@ def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
         "speedup": {
             "vs_scalar_loop": {
                 f"workers_{n}": round(scalar_wall / wall, 2)
-                for n, wall in walls.items()
-            },
-            "vs_sequential_pipelines": {
-                f"workers_{n}": round(sequential_wall / wall, 2)
                 for n, wall in walls.items()
             },
         },
@@ -381,25 +350,28 @@ def _operation_rows_as_values(rows_by_operation: dict) -> list:
 
 
 def _scalar_ops_rows(node, doe):
-    """Write + SNM impacts through fresh per-operation pipelines.
+    """Write + SNM impacts through fresh per-operation campaigns.
 
-    The baseline the operation campaign replaces: one fresh simulator
-    bundle and one fresh worst-case study (its own corner search) per
-    operation, so nothing is shared between operations.
+    The baseline the operation campaign replaces: one campaign per
+    operation on the scalar solver tier, each with its own simulator
+    bundle and its own corner search, so nothing is shared between
+    operations.
     """
     rows = {}
     for name in OPS_BENCH_OPERATIONS:
-        worst_case = WorstCaseStudy(node, doe=doe)
-        sims = OperationSimulators(node, n_bitline_pairs=doe.n_bitline_pairs)
-        rows[name] = worst_case.operation_rows(name, simulators=sims)
+        rows.update(
+            _campaign_ops_rows(node, doe, 1, solver="scalar", operations=(name,))
+        )
     return rows
 
 
-def _campaign_ops_rows(node, doe, workers, solver="batched"):
+def _campaign_ops_rows(
+    node, doe, workers, solver="batched", operations=OPS_BENCH_OPERATIONS
+):
     campaign = SimulationCampaign(
         node,
         doe=doe,
-        scenarios=scenario_grid(operations=OPS_BENCH_OPERATIONS),
+        scenarios=scenario_grid(operations=operations),
         solver=solver,
     )
     results = campaign.run(workers=workers)
@@ -460,8 +432,9 @@ def run_ops_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
             "scalar_loop": {
                 "wall_s": round(scalar_wall, 6),
                 "description": (
-                    "per-operation pipelines: fresh simulator bundle and "
-                    "fresh corner search per operation, nothing shared"
+                    "one scalar-tier campaign per operation: fresh "
+                    "simulator bundle and fresh corner search per "
+                    "operation, nothing shared"
                 ),
             },
             "campaign_scalar_solver": {
@@ -1275,7 +1248,7 @@ def main() -> int:
         started = time.time()
         report = _report_header(
             "simulation_campaign",
-            "Fig.4/Tables II-III benches: sequential pipelines vs the "
+            "Fig.4/Tables II-III benches: the scalar corner loop vs the "
             "SimulationCampaign engine",
             started,
             args.sim_workers,
@@ -1291,7 +1264,7 @@ def main() -> int:
             f"(parity max rel diff {report['parity']['max_rel_diff']:.2e})"
         )
         if report["parity"]["max_rel_diff"] > 1e-12:
-            print("WARNING: campaign rows diverge from the sequential pipelines")
+            print("WARNING: campaign rows diverge from the scalar corner loop")
             exit_code = 1
         full_doe = tuple(args.sim_sizes) == (16, 64, 256, 1024)
         if full_doe and args.sim_workers >= 4 and speedup < 3.0:

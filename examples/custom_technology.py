@@ -21,7 +21,6 @@ import dataclasses
 from repro.core import OptionComparison, WorstCaseStudy, model_from_technology
 from repro.core.montecarlo import MonteCarloTdpStudy
 from repro.reporting import format_figure4, format_table1, format_table4
-from repro.sram import ReadPathSimulator
 from repro.technology import (
     AIR_GAP,
     LOW_K,
@@ -101,8 +100,7 @@ def main() -> None:
     print()
 
     print("=== Worst-case read-time penalty (Fig. 4 equivalent) ===")
-    simulator = ReadPathSimulator(node)
-    figure4 = worst_case.figure4(simulator=simulator)
+    figure4 = worst_case.figure4()
     print(format_figure4(figure4))
     print()
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro import n10
 from repro.core import WorstCaseStudy
 from repro.reporting import figure2_ascii, figure4_csv, format_figure4, format_table1
-from repro.sram import ReadPathSimulator
 
 
 def main() -> None:
@@ -42,8 +41,7 @@ def main() -> None:
         print()
 
     print("=== Fig. 4: worst-case impact on the read time (full DOE) ===")
-    simulator = ReadPathSimulator(node)
-    figure4 = study.figure4(simulator=simulator)
+    figure4 = study.figure4()
     print(format_figure4(figure4))
     print()
     print("CSV series (for external plotting):")

@@ -40,7 +40,7 @@ def main() -> None:
 
     print("=== Worst-case write-delay impact per patterning option ===")
     print(format_operation_table(
-        worst_case.operation_rows("write", simulators=sims),
+        worst_case.operation_rows("write"),
         title="Operation suite (write): worst-case write-delay impact",
     ))
     print()
@@ -70,7 +70,7 @@ def main() -> None:
         ("read_snm", "Operation suite (read_snm): worst-case read-SNM impact"),
     ):
         print(format_operation_table(
-            worst_case.operation_rows(name, simulators=sims), title=title
+            worst_case.operation_rows(name), title=title
         ))
         print()
 

@@ -52,11 +52,7 @@ from typing import (
 
 import numpy as np
 
-from ..obs.convergence import (
-    record_convergence,
-    record_rescue,
-    residual_recorder,
-)
+from ..obs.convergence import record_convergence, record_rescue
 from ..obs.trace import span
 from .mna import CachedFactorSolver, MNAAssembler, MNAError
 from .netlist import Circuit
@@ -177,10 +173,6 @@ def _newton_solve(
     g_matrix = None if dense is not None else assembler.conductance_matrix
     x = x0.copy()
     max_residual = float("inf")
-    # Residual decay telemetry: one module-global check while disabled
-    # (the common case), a bounded reservoir submission when on.
-    recorder = residual_recorder()
-    residual_log: Optional[List[float]] = [] if recorder is not None else None
     # Adaptive damping: a full Newton step can limit-cycle across the kinks
     # of the compact model (the linear/saturation hand-off) without the
     # residual ever dropping below tolerance.  Halving the step whenever
@@ -193,11 +185,7 @@ def _newton_solve(
         g_dot_x = dense.g_dense @ x if dense is not None else g_matrix.dot(x)
         residual = g_dot_x + stamp.residual - b
         max_residual = float(np.max(np.abs(residual))) if residual.size else 0.0
-        if residual_log is not None:
-            residual_log.append(max_residual)
         if max_residual < options.abs_tolerance_a:
-            if recorder is not None:
-                recorder.record("dc", residual_log, True)
             return x, iteration, True, max_residual, False
         if previous_residual is not None:
             if max_residual >= previous_residual:
@@ -216,8 +204,6 @@ def _newton_solve(
             # instead of aborting the whole operating-point search.  The
             # singular flag lets the final ConvergenceError say so, which
             # is what failure classification keys on.
-            if recorder is not None:
-                recorder.record("dc", residual_log, False)
             return x, iteration, False, max_residual, True
         delta = np.asarray(delta).ravel()
         # Limit the per-iteration voltage step for robustness.
@@ -235,11 +221,7 @@ def _newton_solve(
             residual = g_dot_x + stamp.residual - b
             max_residual = float(np.max(np.abs(residual))) if residual.size else 0.0
             if max_residual < options.abs_tolerance_a * 10.0:
-                if recorder is not None:
-                    recorder.record("dc", residual_log, True)
                 return x, iteration, True, max_residual, False
-    if recorder is not None:
-        recorder.record("dc", residual_log, False)
     return x, options.max_iterations, False, max_residual, False
 
 
@@ -282,9 +264,11 @@ class _AssemblerCache:
         return variant
 
 
-#: A rung's return: (solution or None, iterations, max_residual,
-#: assembler of the solution, singular seen).
-_RungResult = Tuple[Optional[np.ndarray], int, float, MNAAssembler, bool]
+#: A rung's return: (solution or None, iterations, max residual of the
+#: rung's last solve of the original system — baseline gmin, full sources,
+#: no pseudo-transient anchor — or None if it made none, assembler of the
+#: solution, singular seen).
+_RungResult = Tuple[Optional[np.ndarray], int, Optional[float], MNAAssembler, bool]
 _Rung = Generator[NewtonTarget, NewtonResult, _RungResult]
 
 
@@ -309,14 +293,14 @@ def _gen_source_stepping(
     assembler = cache.get(gmin_s)
     current = np.zeros(assembler.size)
     total_iterations = 0
-    max_residual = float("inf")
+    max_residual: Optional[float] = None
     saw_singular = False
     alpha = 0.0
     step = 0.1
     min_step = 1.0 / 1024.0
     while alpha < 1.0:
         attempt = min(1.0, alpha + step)
-        candidate, iterations, converged, max_residual, singular = yield (
+        candidate, iterations, converged, residual, singular = yield (
             assembler,
             attempt * b_full,
             current,
@@ -324,6 +308,8 @@ def _gen_source_stepping(
         )
         saw_singular |= singular
         total_iterations += iterations
+        if attempt == 1.0:
+            max_residual = residual
         if converged:
             current = candidate
             alpha = attempt
@@ -354,7 +340,7 @@ def _gen_pseudo_transient(
     """
     x = x0.copy()
     total_iterations = 0
-    max_residual = float("inf")
+    max_residual: Optional[float] = None
     saw_singular = False
     g_pt = 1e-2
     for _outer in range(200):
@@ -420,6 +406,9 @@ def _gen_operating_point(
         )
         initial_voltages = _perturbed_initial_voltages(initial_voltages)
     saw_singular = False
+    # Max residual of the last solve of the original system (baseline
+    # gmin, full sources, no pseudo-transient anchor) — what an exhausted
+    # ladder reports.  Plain Newton always makes one.
     max_residual = float("inf")
     for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
         if gmin_attempt != gmin_s:
@@ -430,13 +419,15 @@ def _gen_operating_point(
         # so the first iteration does not start from a wildly
         # inconsistent point.
         x0 = assembler.initial_solution(initial_voltages)
-        solution, iterations, converged, max_residual, singular = yield (
+        solution, iterations, converged, residual, singular = yield (
             assembler,
             b,
             x0,
             options,
         )
         saw_singular |= singular
+        if gmin_attempt == gmin_s:
+            max_residual = residual
         if converged and gmin_attempt == gmin_s:
             return DCResult(
                 voltages=assembler.solution_to_dict(solution),
@@ -451,7 +442,7 @@ def _gen_operating_point(
             for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
                 step_assembler = cache.get(step_gmin)
                 b = _source_vector_with_overrides(step_assembler, source_overrides)
-                current, iterations, converged, max_residual, singular = yield (
+                current, iterations, converged, residual, singular = yield (
                     step_assembler,
                     b,
                     current,
@@ -460,6 +451,8 @@ def _gen_operating_point(
                 saw_singular |= singular
                 if not converged:
                     break
+            if step_gmin == gmin_s:
+                max_residual = residual
             if converged:
                 return DCResult(
                     voltages=step_assembler.solution_to_dict(current),
@@ -474,10 +467,12 @@ def _gen_operating_point(
     assembler = cache.get(gmin_s)
     b_full = _source_vector_with_overrides(assembler, source_overrides)
     record_rescue(kind, "source_step")
-    solution, iterations, max_residual, step_assembler, singular = yield from (
+    solution, iterations, exact_residual, step_assembler, singular = yield from (
         _gen_source_stepping(cache, b_full, options, gmin_s)
     )
     saw_singular |= singular
+    if exact_residual is not None:
+        max_residual = exact_residual
     if solution is not None:
         return DCResult(
             voltages=step_assembler.solution_to_dict(solution),
@@ -492,10 +487,12 @@ def _gen_operating_point(
     # surviving branch).
     x0 = assembler.initial_solution(initial_voltages)
     record_rescue(kind, "pseudo_transient")
-    solution, iterations, max_residual, pt_assembler, singular = yield from (
+    solution, iterations, exact_residual, pt_assembler, singular = yield from (
         _gen_pseudo_transient(cache, b_full, x0, options, gmin_s)
     )
     saw_singular |= singular
+    if exact_residual is not None:
+        max_residual = exact_residual
     if solution is not None:
         return DCResult(
             voltages=pt_assembler.solution_to_dict(solution),

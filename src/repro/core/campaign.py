@@ -1,11 +1,11 @@
 """Batched, multiprocess campaign engine for the simulation pipeline.
 
-The sequential path of the paper's simulated half (Fig. 4 worst-case
-penalties, Tables II–III formula validation) walks the DOE one corner at a
-time on one core.  :class:`SimulationCampaign` turns that walk into an
+The paper's simulated half (Fig. 4 worst-case penalties, Tables II–III
+formula validation and the operation suite's worst-case rows) is computed
+here and nowhere else.  :class:`SimulationCampaign` turns the DOE into an
 explicit work list — one :class:`CampaignItem` per (scenario × array size
 × worst-case corner), plus one nominal item per distinct simulation
-configuration — and executes it through a process pool:
+configuration — and executes it in-process or through a process pool:
 
 * the per-option worst corners are searched once per overlay budget in the
   driver and embedded in the items, so workers only print, extract and
@@ -31,10 +31,11 @@ preparation plus a one-lane solve.
 Scenario diversity is a first-class axis: overlay-budget sweeps, stored
 value 0/1, VSS strap-interval variants and backward-Euler versus
 trapezoidal integration all cross with the DOE grid.  The default single
-scenario reproduces the paper's Fig. 4 / Table II–III numbers exactly:
-``tests/test_campaign.py`` pins them at ``rtol <= 1e-12`` against
-``WorstCaseStudy.figure4`` and ``FormulaValidation``, and the golden
-corpus (``tests/golden/``) freezes the records bit for bit.
+scenario is the paper's: ``WorstCaseStudy.figure4``/``operation_rows`` and
+``FormulaValidation.table2``/``table3`` are one-scenario campaigns
+(``WorstCaseStudy.campaign``), the golden corpus (``tests/golden/``)
+freezes the records bit for bit, and ``tests/test_campaign.py`` checks
+that a process pool yields the same rows as a serial run.
 """
 
 from __future__ import annotations
@@ -282,12 +283,11 @@ class CampaignRecord:
     #: Execution provenance (``compare=False``: which solver tier produced
     #: a record — and how wide its batch was — is bookkeeping like
     #: ``wall_s``, never part of record identity; the parity suite compares
-    #: scalar and batched records for full equality).
+    #: scalar and batched records for full equality).  The joint solve's
+    #: solver counters are kept once per run, in
+    #: :attr:`SimulationCampaign.last_run_stats`.
     solver: str = field(default="scalar", compare=False)
     batch_size: int = field(default=0, compare=False)
-    #: Per-batch :class:`~repro.circuit.mna.SolverStats` delta, attached to
-    #: every record the batch produced (empty on the scalar tier).
-    batch_stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def td_ps(self) -> float:
@@ -299,10 +299,13 @@ class CampaignRecord:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignRecord":
         names = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(payload) - names
+        data = dict(payload)
+        # Records once carried a copy of their joint solve's counters;
+        # stores written then still resume.
+        data.pop("batch_stats", None)
+        unknown = set(data) - names
         if unknown:
             raise CampaignError(f"unknown campaign record fields: {sorted(unknown)}")
-        data = dict(payload)
         # Stores written before the operation axis carry no value/unit/
         # operation: they are read records whose primary value is td_s, so
         # backfill rather than defaulting value to 0 (which would poison
@@ -320,7 +323,6 @@ def _record_from_measurement(
     wall_s: float,
     solver: str = "scalar",
     batch_size: int = 0,
-    batch_stats: Optional[Dict[str, int]] = None,
 ) -> CampaignRecord:
     scenario = item.scenario
     return CampaignRecord(
@@ -352,7 +354,6 @@ def _record_from_measurement(
         unit=measurement.unit,
         solver=solver,
         batch_size=batch_size,
-        batch_stats=dict(batch_stats) if batch_stats else {},
     )
 
 
@@ -702,7 +703,6 @@ class CampaignWorkerState:
                 prep_wall + (share if work.lanes else 0.0),
                 solver="batched",
                 batch_size=batch_size,
-                batch_stats=batch_stats,
             )
 
         return first_attempt

@@ -16,11 +16,10 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..sram.read_path import ReadPathSimulator
 from ..technology.node import TechnologyNode
 from ..variability.doe import StudyDOE, paper_doe
 from .analytical import AnalyticalDelayModel, model_from_technology
@@ -35,7 +34,6 @@ from .spec import (
     OperationSpec,
     TechnologySpec,
 )
-from .validation import FormulaValidation
 from .worst_case import WorstCaseStudy
 
 
@@ -68,20 +66,10 @@ class MultiPatterningSRAMStudy:
     def __post_init__(self) -> None:
         if self.monte_carlo_samples < 2:
             raise StudyError("the study needs at least two Monte-Carlo samples")
-        self._simulator = ReadPathSimulator(
-            self.node, n_bitline_pairs=self.doe.n_bitline_pairs
-        )
         self._model = model_from_technology(
             self.node, n_bitline_pairs=self.doe.n_bitline_pairs
         )
         self._worst_case = WorstCaseStudy(self.node, doe=self.doe)
-        self._validation = FormulaValidation(
-            self.node,
-            doe=self.doe,
-            model=self._model,
-            simulator=self._simulator,
-            worst_case=self._worst_case,
-        )
         self._monte_carlo = MonteCarloTdpStudy(
             self.node,
             doe=self.doe,
@@ -139,16 +127,8 @@ class MultiPatterningSRAMStudy:
         return self._model
 
     @property
-    def simulator(self) -> ReadPathSimulator:
-        return self._simulator
-
-    @property
     def worst_case(self) -> WorstCaseStudy:
         return self._worst_case
-
-    @property
-    def validation(self) -> FormulaValidation:
-        return self._validation
 
     @property
     def monte_carlo(self) -> MonteCarloTdpStudy:
@@ -164,8 +144,8 @@ class MultiPatterningSRAMStudy:
         """A :class:`SimulationCampaign` over this study's node and DOE.
 
         The campaign shares the study's worst-case corner search, so corner
-        discovery is never repeated between the sequential components and
-        the campaign engine.
+        discovery is never repeated between Table I / Fig. 2 and the
+        simulated experiments.
         """
         return SimulationCampaign(
             self.node,
@@ -189,12 +169,7 @@ class MultiPatterningSRAMStudy:
             if self._campaign is None:
                 self._campaign = self.campaign()
             return self._campaign
-        return SimulationCampaign(
-            self.node,
-            doe=replace(self.doe, array_sizes=tuple(array_sizes)),
-            worst_case=self._worst_case,
-            seed=self.seed,
-        )
+        return self._worst_case.campaign(array_sizes=array_sizes, seed=self.seed)
 
     # -- individual experiments --------------------------------------------------------------
 
@@ -213,9 +188,9 @@ class MultiPatterningSRAMStudy:
     ):
         """Worst-case td penalties versus array size (Fig. 4).
 
-        Runs through the campaign engine: identical numbers to the
-        sequential :meth:`WorstCaseStudy.figure4` (the parity suite pins
-        this), with memoized work items and optional multiprocessing.
+        Runs through the study's shared campaign: memoized work items
+        and optional multiprocessing, with records identical in any
+        worker count (the golden corpus freezes them).
         """
         campaign = self._campaign_for(array_sizes)
         return campaign.figure4_rows(campaign.run(workers=workers))

@@ -15,10 +15,8 @@ absent from the formula) pushes the simulated tdp up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..sram.read_path import ReadPathSimulator
 from ..technology.node import TechnologyNode
 from ..variability.doe import StudyDOE, paper_doe
 from .analytical import AnalyticalDelayModel, model_from_technology
@@ -41,12 +39,12 @@ class FormulaValidation:
         Experiment grid (array sizes, options).
     model:
         Analytical delay model; derived from the node when omitted.
-    simulator:
-        Read-path simulator; constructed from the node when omitted.
     worst_case:
         Worst-case study providing the per-option worst corners; constructed
         when omitted (and shared with the caller when provided, so the
-        expensive corner search is not repeated).
+        expensive corner search is not repeated).  Both tables are read
+        off its one-scenario campaign (:meth:`WorstCaseStudy.campaign`)
+        over this validation's DOE.
     """
 
     def __init__(
@@ -54,15 +52,11 @@ class FormulaValidation:
         node: TechnologyNode,
         doe: Optional[StudyDOE] = None,
         model: Optional[AnalyticalDelayModel] = None,
-        simulator: Optional[ReadPathSimulator] = None,
         worst_case: Optional[WorstCaseStudy] = None,
     ) -> None:
         self.node = node
         self.doe = doe if doe is not None else paper_doe()
         self.model = model if model is not None else model_from_technology(
-            node, n_bitline_pairs=self.doe.n_bitline_pairs
-        )
-        self.simulator = simulator if simulator is not None else ReadPathSimulator(
             node, n_bitline_pairs=self.doe.n_bitline_pairs
         )
         self.worst_case = worst_case if worst_case is not None else WorstCaseStudy(
@@ -74,21 +68,12 @@ class FormulaValidation:
     def table2(
         self, array_sizes: Optional[Sequence[int]] = None
     ) -> List[FormulaVsSimulationTdRow]:
-        """Nominal td: simulation versus formula, per array size."""
-        sizes = list(array_sizes) if array_sizes is not None else list(self.doe.array_sizes)
-        rows: List[FormulaVsSimulationTdRow] = []
-        for size in sizes:
-            simulated = self.simulator.measure_nominal(size)
-            formula_td = self.model.td_nominal_s(size)
-            rows.append(
-                FormulaVsSimulationTdRow(
-                    array_label=f"{self.doe.n_bitline_pairs}x{size}",
-                    n_wordlines=size,
-                    simulation_td_s=simulated.td_s,
-                    formula_td_s=formula_td,
-                )
-            )
-        return rows
+        """Nominal td: simulation versus formula, per array size.
+
+        Only the nominal items run: Table II needs no corner search.
+        """
+        campaign = self.worst_case.campaign(array_sizes=array_sizes, doe=self.doe)
+        return campaign.table2_rows(campaign.run(kinds=("nominal",)), self.model)
 
     # -- Table III -----------------------------------------------------------------------
 
@@ -101,48 +86,8 @@ class FormulaValidation:
         ``"formula"`` row per array size, mirroring the structure of the
         paper's Table III.
         """
-        sizes = list(array_sizes) if array_sizes is not None else list(self.doe.array_sizes)
-        rows: List[FormulaVsSimulationTdpRow] = []
-
-        corners = {
-            option_name: self.worst_case.find_worst_corner(option_name)
-            for option_name in self.doe.option_names
-        }
-
-        for size in sizes:
-            nominal = self.simulator.measure_nominal(size)
-            simulated: Dict[str, float] = {}
-            formula: Dict[str, float] = {}
-            for option_name, corner in corners.items():
-                varied = self.simulator.measure_with_patterning(
-                    size,
-                    self.worst_case.option(option_name),
-                    corner.parameters,
-                )
-                simulated[option_name] = varied.penalty_percent_vs(nominal)
-                formula[option_name] = self.model.tdp_percent(
-                    size,
-                    corner.bitline_variation.rvar,
-                    corner.bitline_variation.cvar,
-                )
-            label = f"{self.doe.n_bitline_pairs}x{size}"
-            rows.append(
-                FormulaVsSimulationTdpRow(
-                    method="simulation",
-                    array_label=label,
-                    n_wordlines=size,
-                    tdp_percent_by_option=simulated,
-                )
-            )
-            rows.append(
-                FormulaVsSimulationTdpRow(
-                    method="formula",
-                    array_label=label,
-                    n_wordlines=size,
-                    tdp_percent_by_option=formula,
-                )
-            )
-        return rows
+        campaign = self.worst_case.campaign(array_sizes=array_sizes, doe=self.doe)
+        return campaign.table3_rows(campaign.run(), self.model)
 
     # -- agreement metrics ---------------------------------------------------------------------
 

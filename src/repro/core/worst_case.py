@@ -9,22 +9,24 @@ since Cbl dominates the read time.  The winning corner then feeds:
 * Fig. 2  — the printed-versus-drawn track geometry at that corner;
 * Fig. 4  — worst-case td penalties from full read-path simulation across
   the DOE array sizes.
+
+Fig. 4 and its write/noise-margin twins (:meth:`WorstCaseStudy.operation_rows`)
+are read off a one-scenario :class:`~repro.core.campaign.SimulationCampaign`
+that shares the study's corner search (:meth:`WorstCaseStudy.campaign`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..extraction.lpe import ParameterizedLPE, RCVariation
 from ..layout.array import SRAMArrayLayout, generate_array_layout
 from ..patterning import create_option
 from ..patterning.base import PatterningOption
 from ..patterning.sampler import enumerate_worst_case_corners
-from ..sram.read_path import ReadPathSimulator
 from ..technology.node import TechnologyNode
 from ..variability.doe import StudyDOE, paper_doe
-from .operations import OperationSimulators, create_operation
 from .results import (
     LayoutDistortionRecord,
     OperationImpactRow,
@@ -32,6 +34,9 @@ from .results import (
     WorstCaseRCRow,
     WorstCaseTdRow,
 )
+
+if TYPE_CHECKING:
+    from .campaign import SimulationCampaign
 
 
 class WorstCaseStudyError(RuntimeError):
@@ -209,86 +214,56 @@ class WorstCaseStudy:
     def figure2(self) -> List[LayoutDistortionRecord]:
         return [self.layout_distortion(name) for name in self.doe.option_names]
 
-    # -- worst-case td penalties (Fig. 4) ---------------------------------------------------------
+    # -- simulated rows (Fig. 4 and the operation suite) -----------------------------------
+
+    def campaign(
+        self,
+        operation: str = "read",
+        array_sizes: Optional[Sequence[int]] = None,
+        doe: Optional[StudyDOE] = None,
+        seed: int = 2015,
+    ) -> SimulationCampaign:
+        """A one-scenario campaign that shares this study's corner search.
+
+        ``doe`` defaults to the study's own grid and ``array_sizes``
+        replaces its sizes.  Fig. 4, the operation rows and Tables II–III
+        (:class:`~repro.core.validation.FormulaValidation`) are all read
+        off such a campaign, so each table has one definition.
+        """
+        # Imported here: the campaign module imports this one.
+        from .campaign import CampaignScenario, SimulationCampaign
+
+        grid = doe if doe is not None else self.doe
+        if array_sizes is not None:
+            grid = replace(grid, array_sizes=tuple(array_sizes))
+        return SimulationCampaign(
+            self.node,
+            doe=grid,
+            scenarios=(CampaignScenario(operation=operation),),
+            worst_case=self,
+            seed=seed,
+        )
 
     def figure4(
-        self,
-        simulator: Optional[ReadPathSimulator] = None,
-        array_sizes: Optional[Sequence[int]] = None,
+        self, array_sizes: Optional[Sequence[int]] = None
     ) -> List[WorstCaseTdRow]:
         """Fig. 4: nominal td and worst-case td penalty per option and array size.
 
         Each option's worst corner (from the Table I search) is re-applied
         to every array size and simulated with the full read-path circuit.
         """
-        chosen_simulator = simulator if simulator is not None else ReadPathSimulator(
-            self.node, n_bitline_pairs=self.doe.n_bitline_pairs
-        )
-        sizes = list(array_sizes) if array_sizes is not None else list(self.doe.array_sizes)
-
-        rows: List[WorstCaseTdRow] = []
-        for size in sizes:
-            nominal = chosen_simulator.measure_nominal(size)
-            penalties: Dict[str, float] = {}
-            for option_name in self.doe.option_names:
-                corner = self.find_worst_corner(option_name)
-                option = self.option(option_name)
-                varied = chosen_simulator.measure_with_patterning(
-                    size, option, corner.parameters
-                )
-                penalties[option_name] = varied.penalty_percent_vs(nominal)
-            rows.append(
-                WorstCaseTdRow(
-                    array_label=f"{self.doe.n_bitline_pairs}x{size}",
-                    n_wordlines=size,
-                    nominal_td_ps=nominal.td_ps,
-                    tdp_percent_by_option=penalties,
-                )
-            )
-        return rows
-
-    # -- operation-suite worst-case impacts ---------------------------------------------
+        campaign = self.campaign(array_sizes=array_sizes)
+        return campaign.figure4_rows(campaign.run())
 
     def operation_rows(
-        self,
-        operation_name: str,
-        simulators: Optional[OperationSimulators] = None,
-        array_sizes: Optional[Sequence[int]] = None,
+        self, operation_name: str, array_sizes: Optional[Sequence[int]] = None
     ) -> List[OperationImpactRow]:
         """Worst-case impact of every option on one operation's figure of merit.
 
         The write/margin twin of :meth:`figure4`: each option's Table I
         worst corner is re-applied to every array size and the operation
         (write delay, hold/read SNM — or read, reproducing Fig. 4) is
-        measured on the printed column.  This sequential path is also the
-        parity oracle for the campaign engine's operation axis.
+        measured on the printed column.
         """
-        operation = create_operation(operation_name)
-        sims = (
-            simulators
-            if simulators is not None
-            else OperationSimulators(self.node, n_bitline_pairs=self.doe.n_bitline_pairs)
-        )
-        sizes = list(array_sizes) if array_sizes is not None else list(self.doe.array_sizes)
-
-        rows: List[OperationImpactRow] = []
-        for size in sizes:
-            nominal = operation.measure_nominal(sims, size)
-            deltas: Dict[str, float] = {}
-            for option_name in self.doe.option_names:
-                corner = self.find_worst_corner(option_name)
-                varied = operation.measure_with_patterning(
-                    sims, size, self.option(option_name), corner.parameters
-                )
-                deltas[option_name] = varied.change_percent_vs(nominal)
-            rows.append(
-                OperationImpactRow(
-                    operation=operation.name,
-                    array_label=f"{self.doe.n_bitline_pairs}x{size}",
-                    n_wordlines=size,
-                    nominal_value=nominal.value,
-                    unit=nominal.unit,
-                    delta_percent_by_option=deltas,
-                )
-            )
-        return rows
+        campaign = self.campaign(operation_name, array_sizes=array_sizes)
+        return campaign.operation_rows(campaign.run())

@@ -34,14 +34,10 @@ time went.
 """
 
 from .convergence import (
-    ResidualTraceRecorder,
-    disable_residual_recording,
-    enable_residual_recording,
     record_convergence,
     record_lane_stats,
     record_rescue,
     record_step_rejections,
-    residual_recorder,
 )
 from .history import (
     BENCH_SCHEMA_VERSION,
@@ -97,7 +93,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "MetricsRegistry",
     "REGRESSION_EXIT_CODE",
-    "ResidualTraceRecorder",
     "SamplingProfiler",
     "Tracer",
     "absorb_cache_stats",
@@ -110,10 +105,8 @@ __all__ = [
     "cumulate",
     "current_trace_ids",
     "disable_profiling",
-    "disable_residual_recording",
     "disable_tracing",
     "enable_profiling",
-    "enable_residual_recording",
     "enable_tracing",
     "enable_worker_profiling",
     "enable_worker_tracing",
@@ -135,7 +128,6 @@ __all__ = [
     "record_step_rejections",
     "registry",
     "reset_registry",
-    "residual_recorder",
     "span",
     "to_chrome_trace",
     "top_frames",

@@ -21,36 +21,23 @@ did it:
   ``repro_solver_scalar_fallback_rate`` (lanes demoted per lane
   launched).
 
-Residual-norm *decay traces* are too bulky for the registry, so they go
-through a bounded :class:`ResidualTraceRecorder` — off by default,
-reservoir-sampled when on (deterministic rng, fixed capacity), enabled
-by tests/benches that want to see the decay shape rather than just the
-iteration count.
-
 Everything here must stay cheap enough to be always-on: hooks fire per
-*solve* (or per lane), never per Newton iteration, and the residual
-recorder costs one module-global check per solve while disabled.
+*solve* (or per lane), never per Newton iteration.
 """
 
 from __future__ import annotations
 
-import random
-import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .metrics import MetricsRegistry, registry
 
 __all__ = [
     "ITERATION_BUCKETS",
-    "ResidualTraceRecorder",
-    "disable_residual_recording",
-    "enable_residual_recording",
     "lane_group_label",
     "record_convergence",
     "record_lane_stats",
     "record_rescue",
     "record_step_rejections",
-    "residual_recorder",
 ]
 
 #: Fixed iteration buckets (like the latency buckets: chosen once so
@@ -152,100 +139,3 @@ def record_lane_stats(
             fallbacks / (lanes + fallbacks) if (lanes + fallbacks) else 0.0,
         )
 
-
-# ---------------------------------------------------------------------------
-# Residual decay traces (bounded, off by default)
-# ---------------------------------------------------------------------------
-
-
-class ResidualTraceRecorder:
-    """Reservoir sampler of per-solve residual-norm decay traces.
-
-    Keeps at most ``max_traces`` traces of at most ``max_points`` points
-    each, replacing uniformly at random once full (classic reservoir
-    sampling with a seeded rng, so a given solve sequence always keeps
-    the same traces).  Memory is therefore bounded regardless of how
-    many solves run.
-    """
-
-    def __init__(self, max_traces: int = 128, max_points: int = 64, seed: int = 0) -> None:
-        if max_traces <= 0 or max_points <= 0:
-            raise ValueError("max_traces and max_points must be positive")
-        self.max_traces = int(max_traces)
-        self.max_points = int(max_points)
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._traces: List[Dict[str, Any]] = []
-        self.seen = 0
-
-    def record(self, kind: str, residuals: Sequence[float], converged: bool) -> None:
-        if not residuals:
-            return
-        points = [float(r) for r in residuals]
-        if len(points) > self.max_points:
-            # Stride-decimate but always keep the final residual: the
-            # decay *endpoint* is the interesting part.
-            stride = -(-len(points) // self.max_points)
-            points = points[::stride] + [points[-1]]
-        trace = {"kind": str(kind), "residuals": points, "converged": bool(converged)}
-        with self._lock:
-            self.seen += 1
-            if len(self._traces) < self.max_traces:
-                self._traces.append(trace)
-            else:
-                j = self._rng.randrange(self.seen)
-                if j < self.max_traces:
-                    self._traces[j] = trace
-
-    def traces(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [dict(trace) for trace in self._traces]
-
-    def summary(self) -> Dict[str, Any]:
-        """Per-kind counts and median decay ratio (last/first residual)."""
-        by_kind: Dict[str, List[float]] = {}
-        converged = 0
-        traces = self.traces()
-        for trace in traces:
-            residuals = trace["residuals"]
-            if residuals[0] > 0:
-                by_kind.setdefault(trace["kind"], []).append(
-                    residuals[-1] / residuals[0]
-                )
-            if trace["converged"]:
-                converged += 1
-        decay: Dict[str, float] = {}
-        for kind, ratios in by_kind.items():
-            ratios.sort()
-            decay[kind] = ratios[len(ratios) // 2]
-        return {
-            "traces": len(traces),
-            "seen": self.seen,
-            "converged": converged,
-            "median_decay_ratio": decay,
-        }
-
-
-_recorder: Optional[ResidualTraceRecorder] = None
-
-
-def residual_recorder() -> Optional[ResidualTraceRecorder]:
-    """The active recorder, or None (the common, zero-cost case)."""
-    return _recorder
-
-
-def enable_residual_recording(
-    max_traces: int = 128, max_points: int = 64, seed: int = 0
-) -> ResidualTraceRecorder:
-    global _recorder
-    _recorder = ResidualTraceRecorder(
-        max_traces=max_traces, max_points=max_points, seed=seed
-    )
-    return _recorder
-
-
-def disable_residual_recording() -> Optional[ResidualTraceRecorder]:
-    global _recorder
-    recorder = _recorder
-    _recorder = None
-    return recorder

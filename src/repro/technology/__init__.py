@@ -14,7 +14,6 @@ from .corners import (
     LithoEtchAssumptions,
     SADPAssumptions,
     VariationAssumptions,
-    VariationKind,
     enumerate_corner_points,
     paper_assumptions,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "TechnologyNode",
     "ULTRA_LOW_K",
     "VariationAssumptions",
-    "VariationKind",
     "default_n10_metal_stack",
     "default_n10_nmos",
     "default_n10_pmos",

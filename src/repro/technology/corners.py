@@ -19,21 +19,11 @@ zero-mean normal distribution; ``sigma = three_sigma / 3``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 
 
 class CornerError(ValueError):
     """Raised for inconsistent variation assumptions."""
-
-
-class VariationKind(str, Enum):
-    """The physical variation mechanisms considered by the study."""
-
-    CD = "cd"                    # critical-dimension (line width) error
-    OVERLAY = "overlay"          # mask-to-mask placement error
-    SPACER = "spacer"            # SADP spacer-thickness error
-    THICKNESS = "thickness"      # metal-thickness (etch/CMP) error
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ Two kinds of document live next to this script:
   high-sigma spec with the circuit model (``yield_hs_circuit``: every
   importance-sampled draw a real read transient), without wall-clock
   timings and batch provenance (``solver``, ``solver_stats``,
-  ``batch_size``, ``batch_stats``);
+  ``batch_size``);
 * ``solver.json`` — per-lane outcomes of the DC and transient solvers:
   iteration counts, SHA-256 digests of the exact float64 bytes of every
   voltage and time array, stop reasons and exact ``ConvergenceError``
@@ -81,7 +81,7 @@ from repro.technology.transistors import (  # noqa: E402
 
 #: Top-level and per-record keys that are timing or batch provenance.
 TOP_LEVEL_DROPPED = ("solver", "solver_stats")
-RECORD_DROPPED = ("wall_s", "solver", "batch_size", "batch_stats")
+RECORD_DROPPED = ("wall_s", "solver", "batch_size")
 
 #: The paper's DOE over all four operations, as the repository benchmark
 #: runs it at seed 1 (``execution.seed`` = 1 * 1_000_003).

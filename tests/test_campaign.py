@@ -1,18 +1,18 @@
 """Tests of the simulation campaign engine.
 
-The heart of the suite is the parity pin: the campaign-produced Fig. 4 /
-Table II / Table III rows must match the sequential
-``WorstCaseStudy.figure4`` / ``FormulaValidation.table2/table3`` numbers
-at ``rtol <= 1e-12``, with one worker and with two — everything downstream
-of the corner search is a deterministic function of the work item, so the
-engine may cache and parallelise freely but never drift.
+The paper's Fig. 4 / Table II / Table III rows come only from the
+campaign engine: ``WorstCaseStudy.figure4`` and
+``FormulaValidation.table2/table3`` are serial one-scenario campaigns,
+and the golden corpus (``tests/golden/``) freezes their records.  The
+parity pin here is that a process pool changes nothing — everything
+downstream of the corner search is a deterministic function of the work
+item, so the engine may cache and parallelise freely but never drift.
 """
 
 import json
 
 import pytest
 
-from repro.core.analytical import model_from_technology
 from repro.core.campaign import (
     CampaignError,
     CampaignScenario,
@@ -23,10 +23,8 @@ from repro.core.campaign import (
 )
 from repro.core.validation import FormulaValidation
 from repro.core.worst_case import WorstCaseStudy
-from repro.sram.read_path import ReadPathSimulator
 from repro.variability.doe import StudyDOE
 
-RTOL = 1e-12
 SIZES = (16, 64)
 
 
@@ -36,62 +34,30 @@ def doe():
 
 
 @pytest.fixture(scope="module")
-def sequential_rows(node, doe, analytical_model):
-    """The sequential oracle: Fig. 4 / Table II / Table III rows."""
+def serial_rows(node, doe, analytical_model):
+    """Fig. 4 / Table II / Table III rows through the public entry points."""
     worst_case = WorstCaseStudy(node, doe=doe)
-    simulator = ReadPathSimulator(node)
     validation = FormulaValidation(
-        node,
-        doe=doe,
-        model=analytical_model,
-        simulator=simulator,
-        worst_case=worst_case,
+        node, doe=doe, model=analytical_model, worst_case=worst_case
     )
     return {
-        "figure4": worst_case.figure4(simulator=simulator),
+        "figure4": worst_case.figure4(),
         "table2": validation.table2(),
         "table3": validation.table3(),
     }
 
 
-def assert_rows_match(sequential, campaign):
-    assert len(sequential) == len(campaign)
-    for expected, actual in zip(sequential, campaign):
-        assert expected.array_label == actual.array_label
-        if hasattr(expected, "nominal_td_ps"):
-            assert actual.nominal_td_ps == pytest.approx(
-                expected.nominal_td_ps, rel=RTOL
-            )
-        if hasattr(expected, "simulation_td_s"):
-            assert actual.simulation_td_s == pytest.approx(
-                expected.simulation_td_s, rel=RTOL
-            )
-            assert actual.formula_td_s == pytest.approx(expected.formula_td_s, rel=RTOL)
-        if hasattr(expected, "tdp_percent_by_option"):
-            if hasattr(expected, "method"):
-                assert expected.method == actual.method
-            for name, value in expected.tdp_percent_by_option.items():
-                assert actual.tdp_percent_by_option[name] == pytest.approx(
-                    value, rel=RTOL, abs=1e-12
-                )
-
-
 class TestCampaignParity:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_match_sequential_path(
-        self, node, doe, analytical_model, sequential_rows, workers
+    def test_pool_rows_equal_serial_rows(
+        self, node, doe, analytical_model, serial_rows
     ):
         campaign = SimulationCampaign(node, doe=doe)
         # clamp_to_cpus=False: exercise the real process pool even on
         # single-core CI runners.
-        results = campaign.run(workers=workers, clamp_to_cpus=False)
-        assert_rows_match(sequential_rows["figure4"], campaign.figure4_rows(results))
-        assert_rows_match(
-            sequential_rows["table2"], campaign.table2_rows(results, analytical_model)
-        )
-        assert_rows_match(
-            sequential_rows["table3"], campaign.table3_rows(results, analytical_model)
-        )
+        results = campaign.run(workers=2, clamp_to_cpus=False)
+        assert campaign.figure4_rows(results) == serial_rows["figure4"]
+        assert campaign.table2_rows(results, analytical_model) == serial_rows["table2"]
+        assert campaign.table3_rows(results, analytical_model) == serial_rows["table3"]
 
     def test_parallel_records_equal_serial_records(self, node, doe):
         serial_campaign = SimulationCampaign(node, doe=doe)
@@ -260,6 +226,27 @@ class TestStoreAndResume:
             assert record.value == record.td_s
         corner = next(r for r in replay if r.kind == "corner")
         assert replay.penalty_percent_for(corner) is not None
+
+    def test_legacy_store_with_batch_stats_resumes(self, node, tmp_path, monkeypatch):
+        """Records written while they still copied the joint solve's
+        counters carry a ``batch_stats`` field; such a store must resume
+        without re-simulating anything."""
+        doe = StudyDOE(array_sizes=(16,))
+        store_dir = tmp_path / "store"
+        results = SimulationCampaign(node, doe=doe, store_dir=store_dir).run()
+        for item in (store_dir / "items").glob("*.json"):
+            payload = json.loads(item.read_text())
+            assert "batch_stats" not in payload
+            payload["batch_stats"] = {"batch_ticks": 7, "dense_solves": 11}
+            item.write_text(json.dumps(payload))
+
+        monkeypatch.setattr(
+            CampaignWorkerState,
+            "prepare_item",
+            lambda self, item: pytest.fail("legacy resume re-simulated an item"),
+        )
+        replay = SimulationCampaign(node, doe=doe, store_dir=store_dir).run()
+        assert replay.records == results.records
 
     def test_signature_mismatch_rejected(self, node, tmp_path):
         doe = StudyDOE(array_sizes=(16,))

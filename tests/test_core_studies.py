@@ -32,8 +32,8 @@ def table1_rows(worst_case_study):
 
 
 @pytest.fixture(scope="module")
-def figure4_rows(worst_case_study, simulator):
-    return worst_case_study.figure4(simulator=simulator)
+def figure4_rows(worst_case_study):
+    return worst_case_study.figure4()
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +112,11 @@ class TestWorstCaseStudy:
 
 class TestFormulaValidation:
     @pytest.fixture(scope="class")
-    def validation(self, node, small_doe, analytical_model, simulator, worst_case_study):
+    def validation(self, node, small_doe, analytical_model, worst_case_study):
         return FormulaValidation(
             node,
             doe=small_doe,
             model=analytical_model,
-            simulator=simulator,
             worst_case=worst_case_study,
         )
 

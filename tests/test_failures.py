@@ -9,10 +9,13 @@ dict/record forms.
 
 from __future__ import annotations
 
+import math
+import re
 import time
 
 import pytest
 
+from repro.circuit.batch import OperatingPointLaneSpec, batch_dc_operating_points
 from repro.circuit.dc import (
     ConvergenceError,
     NewtonOptions,
@@ -70,12 +73,21 @@ class TestClassifyRealSolverErrors:
     def test_dc_rescue_ladder_exhaustion_classifies(self):
         # One Newton iteration per ladder stage cannot solve a nonlinear
         # circuit; the final error is the DC fold's exhaustion message.
+        options = NewtonOptions(max_iterations=1)
         with pytest.raises(ConvergenceError) as excinfo:
-            dc_operating_point(
-                nmos_circuit(), options=NewtonOptions(max_iterations=1)
-            )
+            dc_operating_point(nmos_circuit(), options=options)
         assert "DC operating point" in str(excinfo.value)
         assert classify_error(excinfo.value) == "dc_convergence"
+        # The message carries the residual of the last solve of the
+        # original system, which plain Newton always makes: finite.
+        residual = re.search(r"last max residual (\S+) A", str(excinfo.value))
+        assert math.isfinite(float(residual.group(1)))
+        # The lockstep engine walks the same ladder to the same message.
+        (outcome,) = batch_dc_operating_points(
+            [OperatingPointLaneSpec(nmos_circuit(), options=options)]
+        )
+        assert isinstance(outcome, ConvergenceError)
+        assert str(outcome) == str(excinfo.value)
 
     def test_singular_messages_and_mna_errors_classify(self):
         singular = ConvergenceError(

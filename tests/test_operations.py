@@ -1,8 +1,8 @@
 """Tests of the operation suite: registry, campaign axis, MC/worst-case twins.
 
-The parity pin mirrors the read campaign's: operation-axis campaign rows
-must match the sequential ``WorstCaseStudy.operation_rows`` numbers at
-``rtol <= 1e-12``, with one worker and with two.
+The parity pin mirrors the read campaign's: ``WorstCaseStudy.operation_rows``
+is a serial one-scenario campaign, and the rows of a four-operation
+campaign run over a process pool must equal its rows exactly.
 """
 
 import numpy as np
@@ -41,13 +41,10 @@ def op_simulators(node):
 
 
 @pytest.fixture(scope="module")
-def sequential_op_rows(node, doe, op_simulators):
-    """The sequential oracle: per-operation worst-case impact rows."""
+def serial_op_rows(node, doe):
+    """Per-operation worst-case impact rows through the serial entry point."""
     worst_case = WorstCaseStudy(node, doe=doe)
-    return {
-        name: worst_case.operation_rows(name, simulators=op_simulators)
-        for name in ALL_OPS
-    }
+    return {name: worst_case.operation_rows(name) for name in ALL_OPS}
 
 
 class TestRegistry:
@@ -71,24 +68,26 @@ class TestRegistry:
 
 
 class TestSequentialRows:
-    def test_rows_cover_every_option_and_size(self, sequential_op_rows, doe):
-        for name, rows in sequential_op_rows.items():
+    """Rows of the serial entry point, ``WorstCaseStudy.operation_rows``."""
+
+    def test_rows_cover_every_option_and_size(self, serial_op_rows, doe):
+        for name, rows in serial_op_rows.items():
             assert [row.n_wordlines for row in rows] == list(doe.array_sizes)
             for row in rows:
                 assert row.operation == name
                 assert set(row.delta_percent_by_option) == set(doe.option_names)
                 assert row.nominal_value > 0.0
 
-    def test_margin_rows_carry_volt_units(self, sequential_op_rows):
-        assert sequential_op_rows["hold_snm"][0].unit == "V"
-        assert "mV" in sequential_op_rows["hold_snm"][0].nominal_display
-        assert sequential_op_rows["write"][0].unit == "s"
-        assert "ps" in sequential_op_rows["write"][0].nominal_display
+    def test_margin_rows_carry_volt_units(self, serial_op_rows):
+        assert serial_op_rows["hold_snm"][0].unit == "V"
+        assert "mV" in serial_op_rows["hold_snm"][0].nominal_display
+        assert serial_op_rows["write"][0].unit == "s"
+        assert "ps" in serial_op_rows["write"][0].nominal_display
 
-    def test_read_rows_reproduce_figure4(self, node, doe, op_simulators):
+    def test_read_rows_reproduce_figure4(self, node, doe):
         worst_case = WorstCaseStudy(node, doe=doe)
-        figure4 = worst_case.figure4(simulator=op_simulators.read)
-        op_rows = worst_case.operation_rows("read", simulators=op_simulators)
+        figure4 = worst_case.figure4()
+        op_rows = worst_case.operation_rows("read")
         for f4, op in zip(figure4, op_rows):
             assert op.nominal_value * 1e12 == pytest.approx(f4.nominal_td_ps, rel=RTOL)
             for name, value in f4.tdp_percent_by_option.items():
@@ -96,26 +95,16 @@ class TestSequentialRows:
 
 
 class TestCampaignOperationAxis:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_match_sequential_path(
-        self, node, doe, sequential_op_rows, workers
-    ):
+    def test_pool_rows_equal_serial_rows(self, node, doe, serial_op_rows):
         campaign = SimulationCampaign(
             node, doe=doe, scenarios=scenario_grid(operations=ALL_OPS)
         )
-        results = campaign.run(workers=workers, clamp_to_cpus=False)
+        results = campaign.run(workers=2, clamp_to_cpus=False)
         for scenario in campaign.scenarios:
-            campaign_rows = campaign.operation_rows(results, scenario)
-            expected = sequential_op_rows[scenario.operation]
-            assert len(campaign_rows) == len(expected)
-            for a, b in zip(expected, campaign_rows):
-                assert b.array_label == a.array_label
-                assert b.unit == a.unit
-                assert b.nominal_value == pytest.approx(a.nominal_value, rel=RTOL)
-                for name, value in a.delta_percent_by_option.items():
-                    assert b.delta_percent_by_option[name] == pytest.approx(
-                        value, rel=RTOL, abs=1e-12
-                    )
+            assert (
+                campaign.operation_rows(results, scenario)
+                == serial_op_rows[scenario.operation]
+            )
 
     def test_operation_scenarios_share_the_read_nominal_keys(self):
         scenarios = scenario_grid(operations=("read", "write"))

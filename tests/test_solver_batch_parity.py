@@ -275,7 +275,6 @@ class TestCampaignParity:
         for record in results.records:
             assert record.solver == "batched"
             assert record.batch_size >= 1
-            assert record.batch_stats.get("batch_ticks", 0) > 0
         assert campaign.last_run_stats.get("batch_lane_iterations", 0) > 0
 
     def test_singleton_batch(self, node):
