@@ -317,7 +317,6 @@ def _run_campaign(spec: ExperimentSpec, workers: int) -> ResultSet:
         records.append(row)
     records.extend(failure.to_record() for failure in results.failures)
     meta: Dict[str, Any] = {"campaign": campaign.signature()}
-    meta["solver"] = campaign.solver
     if campaign.last_run_stats:
         meta["solver_stats"] = dict(campaign.last_run_stats)
     return ResultSet(

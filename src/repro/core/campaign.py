@@ -24,9 +24,10 @@ Every item runs through one loop, :meth:`CampaignWorkerState.run_chunks`:
 prepare every chunk (layout → extraction → lane specs), solve attempt 0
 of all prepared items, then yield each chunk's outcomes for commit.  The
 serial path calls it with all chunks; each pool worker calls it with its
-own chunk.  The ``solver`` knob only picks how attempt 0's lanes are
-solved (jointly, or one item at a time), and every retry is a fresh
-preparation plus a one-lane solve.
+own chunk.  Attempt 0 is one joint solve of every prepared item's
+lanes, unless the campaign has a per-item deadline: then each item is
+solved on its own under it.  Every retry is a fresh preparation plus a
+one-lane solve.
 
 Scenario diversity is a first-class axis: overlay-budget sweeps, stored
 value 0/1, VSS strap-interval variants and backward-Euler versus
@@ -78,7 +79,13 @@ from ..technology.node import TechnologyNode
 from ..testing import faults
 from ..variability.doe import StudyDOE, paper_doe
 from .analytical import AnalyticalDelayModel
-from .failures import FAILURE_POLICIES, ItemFailure, ItemTimeoutError, item_deadline
+from .failures import (
+    FAILURE_POLICIES,
+    ItemFailure,
+    ItemTimeoutError,
+    deadline_applies,
+    item_deadline,
+)
 from .operations import (
     OPERATION_NAMES,
     OperationError,
@@ -96,14 +103,6 @@ from .worst_case import WorstCaseStudy
 
 #: Transient methods a scenario may select.
 CAMPAIGN_METHODS = ("backward-euler", "trapezoidal")
-
-#: How attempt 0 of the prepared items is solved.  Both tiers run the same
-#: prepare → solve → commit loop (:meth:`CampaignWorkerState.run_chunks`):
-#: ``scalar`` solves each item's lanes on its own with the one-lane
-#: drivers; ``batched`` stacks every prepared item's lanes into the
-#: lockstep tier (:mod:`repro.circuit.batch`) and solves them jointly —
-#: records are bitwise identical either way.
-CAMPAIGN_SOLVERS = ("scalar", "batched")
 
 #: Short method tags used in item keys and file names.
 _METHOD_TAGS = {"backward-euler": "be", "trapezoidal": "trap"}
@@ -280,10 +279,11 @@ class CampaignRecord:
     operation: str = "read"
     value: float = 0.0
     unit: str = "s"
-    #: Execution provenance (``compare=False``: which solver tier produced
-    #: a record — and how wide its batch was — is bookkeeping like
-    #: ``wall_s``, never part of record identity; the parity suite compares
-    #: scalar and batched records for full equality).  The joint solve's
+    #: Execution provenance (``compare=False``: whether a record came from
+    #: the joint solve (``batched``) or a one-lane attempt (``scalar``) —
+    #: and how wide its batch was — is bookkeeping like ``wall_s``, never
+    #: part of record identity; the parity suite compares the two paths'
+    #: records for full equality).  The joint solve's
     #: solver counters are kept once per run, in
     #: :attr:`SimulationCampaign.last_run_stats`.
     solver: str = field(default="scalar", compare=False)
@@ -534,7 +534,6 @@ class CampaignWorkerState:
         item_timeout_s: Optional[float] = None,
         retry_backoff_s: float = 0.05,
         in_pool_worker: bool = False,
-        solver: str = "scalar",
     ) -> None:
         self.node = node
         self.n_bitline_pairs = n_bitline_pairs
@@ -544,7 +543,6 @@ class CampaignWorkerState:
         self.item_timeout_s = item_timeout_s
         self.retry_backoff_s = retry_backoff_s
         self.in_pool_worker = in_pool_worker
-        self.solver = solver
         self._bundles: Dict[Tuple[int, str], OperationSimulators] = {}
         self._options: Dict[str, object] = {}
 
@@ -616,14 +614,15 @@ class CampaignWorkerState:
         Prepares every chunk (circuits and lane specs), solves attempt 0
         of every prepared item, then yields each chunk's outcomes in order
         for the caller to commit.  The serial path passes all chunks, a
-        pool worker its own one.  ``solver`` only picks how attempt 0's
-        lanes are solved: ``batched`` in one joint :func:`solve_prepared`
-        call (same-topology lanes stack across chunks), ``scalar`` item by
-        item under ``item_timeout_s`` (which cannot fire inside a joint
-        solve).  An item whose attempt 0 failed goes to :meth:`_retry`.
-        If preparation raises a non-item error (a bug), the chunks
-        prepared before it are still solved and yielded before it
-        propagates.
+        pool worker its own one.  Attempt 0 is one joint
+        :func:`solve_prepared` call (same-topology lanes stack across
+        chunks) or, when ``item_timeout_s`` is set and its alarm can fire
+        here (:func:`~repro.core.failures.deadline_applies`), one solve per
+        item under that deadline, since an alarm cannot stop one item
+        inside a joint solve.  An item whose attempt 0 failed goes to
+        :meth:`_retry`.  If preparation raises a non-item error (a bug),
+        the chunks prepared before it are still solved and yielded before
+        it propagates.
         """
         prepared: List[List[_Prepared]] = []
         try:
@@ -647,10 +646,10 @@ class CampaignWorkerState:
 
     def _solve(self, prepared: List[List[_Prepared]]) -> Iterator[List[_Outcome]]:
         """Solve attempt 0 of the prepared items; yield per-chunk outcomes."""
-        if self.solver == "batched":
-            first_attempt = self._joint_solve(prepared)
-        else:
+        if deadline_applies(self.item_timeout_s):
             first_attempt = self._solve_alone
+        else:
+            first_attempt = self._joint_solve(prepared)
         for entries in prepared:
             with span("campaign.chunk", items=len(entries), first=entries[0][0].key):
                 outcomes = [
@@ -664,7 +663,7 @@ class CampaignWorkerState:
     def _joint_solve(
         self, prepared: List[List[_Prepared]]
     ) -> Callable[[CampaignItem, PreparedWork, float], _Outcome]:
-        """Solve every prepared item's lanes in one call (the batched tier).
+        """Solve every prepared item's lanes in one call (no deadline applies).
 
         Returns the per-item continuation that turns the item's result
         into its record — ``wall_s`` is its preparation plus an equal
@@ -710,7 +709,7 @@ class CampaignWorkerState:
     def _solve_alone(
         self, item: CampaignItem, work: PreparedWork, prep_wall: float
     ) -> _Outcome:
-        """Attempt 0 on the scalar tier: the item's own solve, under its deadline."""
+        """Attempt 0 under a deadline: the item's own one-lane solve."""
         try:
             with item_deadline(self.item_timeout_s):
                 return self._measure(item, work, prep_wall)
@@ -737,8 +736,8 @@ class CampaignWorkerState:
         """Attempts 1.. of an item whose attempt 0 failed: record, failure or raise.
 
         Every retry is :meth:`prepare_item` plus a one-lane solve under
-        the item deadline, so a retried record says ``solver="scalar"``
-        on either tier.  Attempt schedule under ``retry``: the first
+        the item deadline, so a retried record says ``solver="scalar"``.
+        Attempt schedule under ``retry``: the first
         retry repeats the attempt unchanged (a transient fault — an
         injected one, or a machine-level hiccup — then reproduces the
         fault-free result bit-for-bit), later retries escalate the solver
@@ -781,7 +780,6 @@ def _init_campaign_worker(
     max_retries: int = 2,
     item_timeout_s: Optional[float] = None,
     retry_backoff_s: float = 0.05,
-    solver: str = "scalar",
     trace_worker_dir: Optional[str] = None,
     profile_worker_dir: Optional[str] = None,
 ) -> None:
@@ -809,7 +807,6 @@ def _init_campaign_worker(
         item_timeout_s=item_timeout_s,
         retry_backoff_s=retry_backoff_s,
         in_pool_worker=True,
-        solver=solver,
     )
 
 
@@ -869,16 +866,13 @@ class SimulationCampaign:
         Optional wall-clock deadline per item attempt (SIGALRM-based, so
         it can cut a runaway solve; see
         :func:`~repro.core.failures.item_deadline` for where it applies).
+        Without it, attempt 0 stacks same-topology Newton/transient work
+        across all items into jointly-vectorized solves; with it, each
+        item is solved on its own under the deadline (on a thread where
+        the alarm cannot fire, the joint solve runs).  Records are
+        bitwise identical either way.
     retry_backoff_s:
         Base of the capped exponential backoff between attempts.
-    solver:
-        How attempt 0's lanes are solved: ``"batched"`` (default) stacks
-        same-topology Newton/transient work across items into
-        jointly-vectorized solves; ``"scalar"`` solves items one at a
-        time.  Preparation, retries and commits are the same either way.
-        Records are bitwise identical either way, so — like the failure
-        knobs — the solver tier is *not* part of :meth:`signature` and a
-        store written under one tier resumes cleanly under the other.
     """
 
     def __init__(
@@ -895,7 +889,6 @@ class SimulationCampaign:
         max_retries: int = 2,
         item_timeout_s: Optional[float] = None,
         retry_backoff_s: float = 0.05,
-        solver: str = "batched",
     ) -> None:
         self.node = node
         self.doe = doe if doe is not None else paper_doe()
@@ -918,15 +911,10 @@ class SimulationCampaign:
             raise CampaignError("max_retries must be non-negative")
         if item_timeout_s is not None and item_timeout_s <= 0.0:
             raise CampaignError("item_timeout_s must be positive when set")
-        if solver not in CAMPAIGN_SOLVERS:
-            raise CampaignError(
-                f"solver must be one of {CAMPAIGN_SOLVERS}, got {solver!r}"
-            )
         self.failure_policy = failure_policy
         self.max_retries = int(max_retries)
         self.item_timeout_s = item_timeout_s
         self.retry_backoff_s = float(retry_backoff_s)
-        self.solver = solver
         #: Solver-counter deltas of the most recent ``run()`` —
         #: factorizations, stamp evaluations, batch ticks and so on.
         #: Pool workers return their chunk's delta with its outcomes and
@@ -974,7 +962,6 @@ class SimulationCampaign:
             failure_policy=spec.execution.failure_policy,
             max_retries=spec.execution.max_retries,
             item_timeout_s=spec.execution.timeout_s,
-            solver=spec.execution.solver,
         )
 
     # -- corner search (driver side) ---------------------------------------------------
@@ -1152,7 +1139,6 @@ class SimulationCampaign:
             self.max_retries,
             self.item_timeout_s,
             self.retry_backoff_s,
-            self.solver,
             trace_worker_dir,
             profile_worker_dir,
         )
@@ -1295,10 +1281,7 @@ class SimulationCampaign:
         self.last_run_stats = {}
         stats_before = solver_stats().snapshot()
         with span(
-            "campaign.run",
-            pending=len(pending),
-            chunks=len(chunks),
-            solver=self.solver,
+            "campaign.run", pending=len(pending), chunks=len(chunks)
         ) as run_span:
             if effective > 1 and len(chunks) > 1:
                 with span("campaign.pool", workers=effective, chunks=len(chunks)):
@@ -1313,7 +1296,6 @@ class SimulationCampaign:
                         max_retries=self.max_retries,
                         item_timeout_s=self.item_timeout_s,
                         retry_backoff_s=self.retry_backoff_s,
-                        solver=self.solver,
                     )
                 for outcomes in self._local_state.run_chunks(chunks):
                     self._commit(outcomes)

@@ -45,6 +45,7 @@ __all__ = [
     "ItemFailure",
     "ItemTimeoutError",
     "classify_error",
+    "deadline_applies",
     "item_deadline",
 ]
 
@@ -56,8 +57,13 @@ __all__ = [
 FAILURE_POLICIES = ("fail_fast", "skip", "retry")
 
 
-class ItemTimeoutError(RuntimeError):
-    """Raised inside :func:`item_deadline` when a work item overruns."""
+class ItemTimeoutError(Exception):
+    """Raised inside :func:`item_deadline` when a work item overruns.
+
+    Not a ``RuntimeError``: the solvers read ``RuntimeError`` from a
+    linear solve as a singular step and carry on, which would swallow a
+    deadline that fires inside the solve.
+    """
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,15 @@ def classify_error(error: BaseException) -> str:
     return "unexpected"
 
 
+def deadline_applies(timeout_s: Optional[float]) -> bool:
+    """Whether :func:`item_deadline` arms an alarm for ``timeout_s`` here."""
+    return (
+        bool(timeout_s)
+        and hasattr(signal, "setitimer")
+        and threading.current_thread() is threading.main_thread()
+    )
+
+
 @contextmanager
 def item_deadline(timeout_s: Optional[float]) -> Iterator[None]:
     """Raise :class:`ItemTimeoutError` if the body overruns ``timeout_s``.
@@ -145,11 +160,7 @@ def item_deadline(timeout_s: Optional[float]) -> Iterator[None]:
     threads, which enforce deadlines at the job tier instead — the guard
     degrades to a no-op rather than failing.
     """
-    if (
-        not timeout_s
-        or not hasattr(signal, "setitimer")
-        or threading.current_thread() is not threading.main_thread()
-    ):
+    if not deadline_applies(timeout_s):
         yield
         return
 

@@ -81,16 +81,6 @@ class OperationMeasurement:
     bitline_capacitance_f: float = 0.0
     vss_rail_resistance_ohm: float = 0.0
 
-    def change_percent_vs(self, nominal: "OperationMeasurement") -> float:
-        """Relative change of the primary value versus a nominal, percent.
-
-        Positive means a larger value; whether that is good or bad depends
-        on the metric (delays degrade upwards, margins downwards).
-        """
-        if nominal.value == 0.0:
-            raise OperationError("nominal value must be nonzero")
-        return (self.value / nominal.value - 1.0) * 100.0
-
 
 class OperationSimulators:
     """The three column simulators behind one shared geometry stack.

@@ -75,8 +75,6 @@ EXECUTION_BACKENDS = ("serial", "process", "auto")
 #: The failure knobs are neutral too: they change whether a run survives
 #: an item failure, never what a successful record contains (and partial
 #: results are never cached, so they cannot poison a fingerprint).
-#: ``solver`` is neutral for the same reason: the batched tier is pinned
-#: bit-identical to the scalar oracle by the parity suite.
 FINGERPRINT_NEUTRAL_EXECUTION_FIELDS = (
     "backend",
     "workers",
@@ -84,14 +82,7 @@ FINGERPRINT_NEUTRAL_EXECUTION_FIELDS = (
     "failure_policy",
     "max_retries",
     "timeout_s",
-    "solver",
 )
-
-#: Solver tiers of :class:`ExecutionSpec` (see
-#: :data:`repro.core.campaign.CAMPAIGN_SOLVERS`): ``batched`` stacks
-#: same-topology Newton/transient work across campaign items into
-#: jointly-vectorized solves; ``scalar`` runs one item at a time.
-EXECUTION_SOLVERS = ("scalar", "batched")
 
 
 class SpecError(ValueError):
@@ -520,12 +511,10 @@ class ExecutionSpec:
     failure_policy: str = "fail_fast"
     #: Extra attempts per item under ``failure_policy="retry"``.
     max_retries: int = 2
-    #: Optional wall-clock deadline per item attempt, in seconds.
+    #: Optional wall-clock deadline per item attempt, in seconds.  A
+    #: campaign with a deadline solves each item on its own, so the
+    #: deadline bounds attempt 0 too; records are the same either way.
     timeout_s: Optional[float] = None
-    #: Solver tier (see :data:`EXECUTION_SOLVERS`): ``batched`` jointly
-    #: vectorizes same-topology work across items, ``scalar`` is the
-    #: one-item-at-a-time oracle.  Bit-identical records either way.
-    solver: str = "batched"
 
     def __post_init__(self) -> None:
         if self.backend not in EXECUTION_BACKENDS:
@@ -546,11 +535,6 @@ class ExecutionSpec:
             raise SpecError("execution.max_retries must be non-negative")
         if self.timeout_s is not None and self.timeout_s <= 0.0:
             raise SpecError("execution.timeout_s must be positive when set")
-        if self.solver not in EXECUTION_SOLVERS:
-            raise SpecError(
-                f"execution.solver must be one of {EXECUTION_SOLVERS}, "
-                f"got {self.solver!r}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -562,14 +546,17 @@ class ExecutionSpec:
             "failure_policy": self.failure_policy,
             "max_retries": self.max_retries,
             "timeout_s": self.timeout_s,
-            "solver": self.solver,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExecutionSpec":
         payload = _require_mapping(payload, "execution")
-        _check_unknown(cls, payload)
         data = dict(payload)
+        # Documents from when the solver tier was a setting still load;
+        # how attempt 0 is solved now follows from ``timeout_s`` alone.
+        if data.get("solver") in ("scalar", "batched"):
+            del data["solver"]
+        _check_unknown(cls, data)
         for name in ("workers", "seed", "max_segments", "max_retries"):
             if name in data:
                 data[name] = _coerce_int(data[name], f"execution.{name}")

@@ -77,7 +77,6 @@ class MultiPatterningSRAMStudy:
             n_samples=self.monte_carlo_samples,
             seed=self.seed,
         )
-        self._campaign: Optional[SimulationCampaign] = None
 
     # -- declarative bridge --------------------------------------------------------------------
 
@@ -159,16 +158,12 @@ class MultiPatterningSRAMStudy:
     def _campaign_for(
         self, array_sizes: Optional[Sequence[int]]
     ) -> SimulationCampaign:
-        """The shared default campaign, or an ad-hoc one for a size subset.
+        """The worst-case study's read campaign over these sizes.
 
-        The shared instance memoizes records, so Fig. 4 / Table II /
-        Table III (and repeated calls) simulate each work item exactly
-        once.
+        The worst-case study memoises it, records included, so Fig. 4 /
+        Table II / Table III (and repeated calls, here or through
+        :attr:`worst_case`) simulate each work item exactly once.
         """
-        if array_sizes is None or tuple(array_sizes) == self.doe.array_sizes:
-            if self._campaign is None:
-                self._campaign = self.campaign()
-            return self._campaign
         return self._worst_case.campaign(array_sizes=array_sizes, seed=self.seed)
 
     # -- individual experiments --------------------------------------------------------------

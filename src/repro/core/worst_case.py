@@ -104,6 +104,7 @@ class WorstCaseStudy:
         self._lpe = ParameterizedLPE(node)
         self._reference_layout: Optional[SRAMArrayLayout] = None
         self._worst_corner_cache: Dict[str, WorstCaseCorner] = {}
+        self._campaigns: Dict[Tuple[str, StudyDOE, int], SimulationCampaign] = {}
 
     @classmethod
     def from_spec(cls, spec) -> "WorstCaseStudy":
@@ -228,7 +229,9 @@ class WorstCaseStudy:
         ``doe`` defaults to the study's own grid and ``array_sizes``
         replaces its sizes.  Fig. 4, the operation rows and Tables II–III
         (:class:`~repro.core.validation.FormulaValidation`) are all read
-        off such a campaign, so each table has one definition.
+        off such a campaign, so each table has one definition.  The
+        campaign is memoised per (operation, grid, seed), and it keeps its
+        records, so repeated tables simulate each item once.
         """
         # Imported here: the campaign module imports this one.
         from .campaign import CampaignScenario, SimulationCampaign
@@ -236,13 +239,18 @@ class WorstCaseStudy:
         grid = doe if doe is not None else self.doe
         if array_sizes is not None:
             grid = replace(grid, array_sizes=tuple(array_sizes))
-        return SimulationCampaign(
-            self.node,
-            doe=grid,
-            scenarios=(CampaignScenario(operation=operation),),
-            worst_case=self,
-            seed=seed,
-        )
+        key = (operation, grid, seed)
+        campaign = self._campaigns.get(key)
+        if campaign is None:
+            campaign = SimulationCampaign(
+                self.node,
+                doe=grid,
+                scenarios=(CampaignScenario(operation=operation),),
+                worst_case=self,
+                seed=seed,
+            )
+            self._campaigns[key] = campaign
+        return campaign
 
     def figure4(
         self, array_sizes: Optional[Sequence[int]] = None

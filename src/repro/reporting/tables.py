@@ -451,16 +451,15 @@ def format_solver_summary(meta: Dict[str, object]) -> str:
     """Solver-counter summary of a campaign run (``meta["solver_stats"]``).
 
     Shows where the linear-algebra work went: full LU factorizations vs
-    cheap refactorizations, dense (batched-tier) vs sparse solves, and
-    the batched tier's tick/lane counters.  A pool-backed run accumulates
-    its counters in worker processes, so the section only appears when
-    the driver process did the solving (serial runs).
+    cheap refactorizations, dense vs sparse solves, and the lockstep
+    engines' tick/lane counters.  Pool workers return their counters
+    with each chunk, so pool runs report the same counts as serial ones.
     """
     stats = dict(meta.get("solver_stats") or {})
     labels = [
         ("factorizations", "LU factorizations"),
         ("refactorizations", "template refactorizations"),
-        ("dense_solves", "dense (batched) solves"),
+        ("dense_solves", "dense solves"),
         ("sparse_solves", "sparse solves"),
         ("stamp_evals", "stamp evaluations"),
         ("stamp_device_evals", "device stamp evaluations"),
@@ -473,12 +472,7 @@ def format_solver_summary(meta: Dict[str, object]) -> str:
     body = [
         [label, f"{int(stats[key]):,}"] for key, label in labels if key in stats
     ]
-    solver = meta.get("solver", "scalar")
-    return render_table(
-        ["Counter", "Count"],
-        body,
-        title=f"Solver summary ({solver} tier)",
-    )
+    return render_table(["Counter", "Count"], body, title="Solver summary")
 
 
 def format_trace_summary(records, top_n: int = 10) -> str:
@@ -584,7 +578,6 @@ def format_trace_summary(records, top_n: int = 10) -> str:
         )
 
     solver_totals: Dict[str, int] = {}
-    solver_label = None
     # campaign.run spans carry the run's full solver delta (pool workers
     # return theirs with each chunk and the parent folds them in); fall
     # back to the joint-solve spans' batch deltas for traces that carry
@@ -596,8 +589,6 @@ def format_trace_summary(records, top_n: int = 10) -> str:
             args = record.get("args")
             if not isinstance(args, dict):
                 continue
-            if source == "campaign.run" and args.get("solver"):
-                solver_label = str(args["solver"])
             stats = args.get("solver_stats")
             if isinstance(stats, dict):
                 for key, value in stats.items():
@@ -608,14 +599,7 @@ def format_trace_summary(records, top_n: int = 10) -> str:
         if solver_totals:
             break
     if solver_totals:
-        sections.append(
-            format_solver_summary(
-                {
-                    "solver_stats": solver_totals,
-                    "solver": solver_label or "unknown",
-                }
-            )
-        )
+        sections.append(format_solver_summary({"solver_stats": solver_totals}))
 
     convergence = format_convergence_summary(records)
     if convergence:

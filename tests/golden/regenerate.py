@@ -13,8 +13,8 @@ Two kinds of document live next to this script:
   the compliance rows and the overlay requirement), and on the
   high-sigma spec with the circuit model (``yield_hs_circuit``: every
   importance-sampled draw a real read transient), without wall-clock
-  timings and batch provenance (``solver``, ``solver_stats``,
-  ``batch_size``);
+  timings and batch provenance (``solver_stats``, and each record's
+  ``solver`` and ``batch_size``);
 * ``solver.json`` — per-lane outcomes of the DC and transient solvers:
   iteration counts, SHA-256 digests of the exact float64 bytes of every
   voltage and time array, stop reasons and exact ``ConvergenceError``
@@ -80,7 +80,7 @@ from repro.technology.transistors import (  # noqa: E402
 # -- records ----------------------------------------------------------------------------
 
 #: Top-level and per-record keys that are timing or batch provenance.
-TOP_LEVEL_DROPPED = ("solver", "solver_stats")
+TOP_LEVEL_DROPPED = ("solver_stats",)
 RECORD_DROPPED = ("wall_s", "solver", "batch_size")
 
 #: The paper's DOE over all four operations, as the repository benchmark
@@ -93,9 +93,7 @@ def doe4_spec() -> Dict[str, Any]:
     spec["kind"] = "operations"
     spec["operation"]["operations"] = ["read", "write", "hold_snm", "read_snm"]
     spec["array"]["sizes"] = [16, 64, 256, 1024]
-    spec["execution"].update(
-        backend="serial", solver="batched", workers=1, seed=DOE4_SEED
-    )
+    spec["execution"].update(backend="serial", workers=1, seed=DOE4_SEED)
     return spec
 
 

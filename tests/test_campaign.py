@@ -271,8 +271,8 @@ class TestStoreAndResume:
         campaign = SimulationCampaign(node, doe=doe, store_dir=tmp_path / "store")
         true_prepare_item = CampaignWorkerState.prepare_item
 
-        # Every attempt of every item starts with its preparation, on
-        # either solver tier.
+        # Every attempt of every item starts with its preparation, with
+        # or without a per-item deadline.
         def failing_prepare_item(self, item):
             if item.n_wordlines == 16:               # the second (smaller) chunk
                 raise RuntimeError("injected mid-campaign failure")

@@ -255,6 +255,7 @@ class TestDeclarativeCommands:
         assert payload["array"]["sizes"] == [16]
         assert payload["operation"]["samples"] == 40
         assert payload["execution"]["seed"] == 3
+        assert "solver" not in payload["execution"]
 
     def test_spec_dump_validate_round_trip(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -7,6 +7,7 @@ benchmarks.
 
 import pytest
 
+from repro.core.campaign import CampaignWorkerState
 from repro.core.comparison import ComparisonError, OptionComparison
 from repro.core.montecarlo import MonteCarloTdpStudy
 from repro.core.results import TdpSigmaRow, WorstCaseTdRow
@@ -145,6 +146,43 @@ class TestFormulaValidation:
         gaps = validation.tdp_agreement_percent(validation.table3(array_sizes=[16]))
         assert set(gaps) == {"LELELE", "SADP", "EUV"}
         assert all(gap >= 0.0 for gap in gaps.values())
+
+
+class TestTablesSimulateOnce:
+    """Every table reads the worst-case study's one memoised campaign."""
+
+    @pytest.fixture()
+    def prepared_keys(self, monkeypatch):
+        keys = []
+        original = CampaignWorkerState.prepare_item
+
+        def counting(state, item):
+            keys.append(item.key)
+            return original(state, item)
+
+        monkeypatch.setattr(CampaignWorkerState, "prepare_item", counting)
+        return keys
+
+    def test_repeated_validation_tables_reuse_records(self, node, prepared_keys):
+        validation = FormulaValidation(node, doe=StudyDOE(array_sizes=(16,)))
+        validation.table3()
+        assert len(prepared_keys) == 4  # the nominal and three corners
+        validation.tdp_agreement_percent()
+        validation.table2()
+        validation.worst_case.figure4()
+        validation.table3()
+        assert len(prepared_keys) == 4
+
+    def test_study_shares_its_worst_case_campaign(self, node, prepared_keys):
+        study = MultiPatterningSRAMStudy(
+            node, doe=StudyDOE(array_sizes=(16,)), monte_carlo_samples=60
+        )
+        study.run_table3()
+        assert len(prepared_keys) == 4
+        study.worst_case.figure4()
+        study.run_figure4(array_sizes=(16,))
+        study.run_table2()
+        assert len(prepared_keys) == 4
 
 
 class TestMonteCarloStudy:

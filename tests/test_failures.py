@@ -24,7 +24,7 @@ from repro.circuit.dc import (
     solver_rescue,
 )
 from repro.circuit.elements import Capacitor, CurrentSource, Resistor, VoltageSource
-from repro.circuit.mna import MNAError
+from repro.circuit.mna import CachedFactorSolver, DenseSystem, MNAError
 from repro.circuit.mosfet import MOSFET
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientOptions, run_transient
@@ -110,6 +110,21 @@ class TestClassifyRealSolverErrors:
         assert classify_error(ZeroDivisionError("x/0")) == "unexpected"
 
 
+def expire_on_first_call(monkeypatch, cls, name):
+    """Make the first ``cls.name`` call raise as an expiring deadline does."""
+    original = getattr(cls, name)
+    calls = []
+
+    def expiring(self, *args, **kwargs):
+        calls.append(name)
+        if len(calls) == 1:
+            raise ItemTimeoutError("work item exceeded its deadline")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, expiring)
+    return calls
+
+
 class TestItemDeadline:
     def test_deadline_interrupts_overrun(self):
         with pytest.raises(ItemTimeoutError):
@@ -126,6 +141,23 @@ class TestItemDeadline:
         with item_deadline(5.0):
             pass
         time.sleep(0.01)  # a leaked alarm would fire here
+
+    # The solvers read a RuntimeError from a linear solve (splu's "exactly
+    # singular") as a failed step and carry on; an alarm that lands inside
+    # the solve must end the analysis instead.
+
+    def test_deadline_inside_a_transient_solve_propagates(self, monkeypatch):
+        calls = expire_on_first_call(monkeypatch, CachedFactorSolver, "solve")
+        options = TransientOptions(t_stop_s=1e-9, dt_initial_s=1e-11, dt_max_s=1e-11)
+        with pytest.raises(ItemTimeoutError):
+            run_transient(rc_circuit(), options=options, initial_voltages={"node": 1.0})
+        assert len(calls) == 1
+
+    def test_deadline_inside_a_dc_solve_propagates(self, monkeypatch):
+        calls = expire_on_first_call(monkeypatch, DenseSystem, "solve")
+        with pytest.raises(ItemTimeoutError):
+            dc_operating_point(nmos_circuit())
+        assert len(calls) == 1
 
 
 class TestSolverRescue:

@@ -11,6 +11,7 @@ poison item is quarantined instead of crashing workers forever.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import replace
 
 import pytest
@@ -211,33 +212,37 @@ class TestWorkerCrashRecovery:
             assert record == fault_free_records[key]
 
 
-class TestBatchQuarantine:
-    """Failure isolation inside the batched solver tier.
+#: A per-item deadline that never fires: it selects the one-item-at-a-time
+#: path for attempt 0, the oracle of the joint solve.
+PER_ITEM_DEADLINE_S = 3600.0
 
-    A whole campaign chunk is solved jointly in batched mode, so the
-    fault-injection contract tightens: a fault hitting one item of the
-    batch must quarantine exactly that item (its batch slot counts as
+
+class TestBatchQuarantine:
+    """Failure isolation inside the joint solve.
+
+    Without a per-item deadline a whole campaign chunk is solved jointly,
+    so the fault-injection contract tightens: a fault hitting one item of
+    the batch must quarantine exactly that item (its batch slot counts as
     attempt 0), while the surviving batch mates keep their jointly-solved
-    records bit-identical to the scalar oracle.
+    records bit-identical to the per-item path's.
     """
 
-    def _campaign(self, solver, **overrides):
+    def _campaign(self, **overrides):
         from repro.technology import n10
 
         defaults = dict(
             doe=StudyDOE(array_sizes=(16,)),
             scenarios=scenario_grid(operations=("read_snm",)),
-            solver=solver,
         )
         defaults.update(overrides)
         return SimulationCampaign(n10(), **defaults)
 
     def test_fault_in_batch_quarantines_only_that_item(self):
-        oracle = self._campaign("scalar").run()
+        oracle = self._campaign(item_timeout_s=PER_ITEM_DEADLINE_S).run()
         assert not oracle.failures
         scalar_records = {r.key: strip_wall(r) for r in oracle.records}
 
-        campaign = self._campaign("batched", failure_policy="skip")
+        campaign = self._campaign(failure_policy="skip")
         items = campaign.work_items()
         assert len(items) >= 4  # nominal + the three paper options, one chunk
         target = next(item.key for item in items if item.kind == "corner")
@@ -259,11 +264,11 @@ class TestBatchQuarantine:
             assert record.batch_size == len(items) - 1
 
     def test_transient_fault_in_batch_recovers_via_scalar_retry(self):
-        oracle = self._campaign("scalar").run()
+        oracle = self._campaign(item_timeout_s=PER_ITEM_DEADLINE_S).run()
         scalar_records = {r.key: strip_wall(r) for r in oracle.records}
 
         campaign = self._campaign(
-            "batched", failure_policy="retry", max_retries=2, retry_backoff_s=0.001
+            failure_policy="retry", max_retries=2, retry_backoff_s=0.001
         )
         target = campaign.work_items()[0].key
         # The fault fires on the batch attempt (attempt 0) only; the item
@@ -277,6 +282,49 @@ class TestBatchQuarantine:
         assert by_key[target].solver == "scalar"  # rescued off-batch
         survivors = [r for r in results.records if r.key != target]
         assert survivors and all(r.solver == "batched" for r in survivors)
+
+
+class TestItemDeadlineInCampaign:
+    def test_deadline_bounds_attempt_zero(self):
+        # Every 16-cell nominal solve takes several milliseconds, so a
+        # 1 ms deadline must cut each item's first (and only) attempt,
+        # whatever its operation.
+        from repro.technology import n10
+
+        campaign = SimulationCampaign(
+            n10(),
+            doe=StudyDOE(array_sizes=(16,)),
+            scenarios=scenario_grid(
+                operations=("read", "write", "hold_snm", "read_snm")
+            ),
+            failure_policy="skip",
+            max_retries=0,
+            item_timeout_s=0.001,
+        )
+        results = campaign.run(kinds=("nominal",))
+        assert not results.records
+        assert len(results.failures) == 4
+        for failure in results.failures:
+            assert failure.classification == "timeout"
+            assert failure.attempts == 1
+
+    def test_off_the_main_thread_the_joint_solve_runs(self, fault_free_records):
+        # SIGALRM cannot fire on another thread (the service's queue
+        # threads), so there the deadline selects nothing and the items
+        # are solved jointly, to the same records.
+        campaign = nominal_campaign(item_timeout_s=0.001)
+        outcome = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(campaign.run(kinds=("nominal",)))
+        )
+        thread.start()
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
+        (results,) = outcome
+        assert not results.failures
+        assert {record.solver for record in results.records} == {"batched"}
+        produced = {record.key: strip_wall(record) for record in results.records}
+        assert produced == fault_free_records
 
 
 class TestInjectedSolverFault:

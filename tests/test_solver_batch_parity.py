@@ -1,10 +1,10 @@
-"""Parity of the batched circuit-solver tier against the scalar oracle.
+"""Parity of the batched circuit-solver tier against the one-lane drivers.
 
 The batched tier (repro.circuit.batch) stacks same-topology Newton and
 transient work from many campaign items into jointly-vectorized solves.
 Its contract is parity by construction: every record must match the
-scalar one-item-at-a-time path bit-for-bit (``rtol <= 1e-12`` with zero
-atol, which in practice means exact equality — the two tiers share the
+one-item-at-a-time path bit-for-bit (``rtol <= 1e-12`` with zero atol,
+which in practice means exact equality — the two paths share the
 elementwise numerics).  Covered here:
 
 - DC-sweep lanes (the SNM butterfly hot path) at batch sizes 1/3/17/64,
@@ -17,7 +17,8 @@ elementwise numerics).  Covered here:
   prepare/finish entry points, and the isolation of a transient lane
   whose stop condition raises;
 - the full campaign across all four operations and every paper
-  patterning option, batched vs scalar, record for record.
+  patterning option, the joint solve vs the per-item path a deadline
+  selects, record for record.
 """
 
 from __future__ import annotations
@@ -49,11 +50,15 @@ from repro.technology.transistors import default_n10_nmos, default_n10_pmos
 
 RTOL = 1e-12
 
-#: Batch sizes from the issue: a singleton, a couple of odd sizes that
-#: exercise ragged bucket shapes, and one full-width batch.
+#: Batch sizes: a singleton, a couple of odd sizes that exercise ragged
+#: bucket shapes, and one full-width batch.
 BATCH_SIZES = (1, 3, 17, 64)
 
 OPERATIONS = ("read", "write", "hold_snm", "read_snm")
+
+#: A per-item deadline that never fires: it selects the campaign's
+#: one-item-at-a-time path for attempt 0 without ever cutting a solve.
+PER_ITEM_DEADLINE_S = 3600.0
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +71,25 @@ def sims(node):
     return OperationSimulators(node, n_bitline_pairs=4, max_segments=64)
 
 
-def _butterfly_lanes(sims, count):
-    """``count`` butterfly sweep lanes cycling over mode and cell count."""
+def _butterfly_pool(sims):
+    """The distinct butterfly sweep lanes: every mode at two cell counts."""
     pool = []
     for n_cells, mode in ((16, "hold"), (16, "read"), (64, "hold"), (64, "read")):
         pool.extend(sims.margins._prepare_butterfly(n_cells, mode=mode).lanes)
+    return pool
+
+
+def _butterfly_lanes(sims, count):
+    """``count`` butterfly sweep lanes cycling over mode and cell count."""
+    pool = _butterfly_pool(sims)
     return [pool[i % len(pool)] for i in range(count)]
+
+
+@pytest.fixture(scope="module")
+def butterfly_references(sims):
+    """The distinct butterfly lanes and their one-lane driver outcomes."""
+    pool = _butterfly_pool(sims)
+    return pool, [run_lane_scalar(lane) for lane in pool]
 
 
 def _assert_sweep_equal(batched, scalar):
@@ -89,11 +107,14 @@ def _assert_sweep_equal(batched, scalar):
 
 class TestSweepLaneParity:
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_butterfly_sweeps_match_scalar(self, sims, size):
-        lanes = _butterfly_lanes(sims, size)
+    def test_butterfly_sweeps_match_scalar(self, butterfly_references, size):
+        # Lane i is a copy of pool lane i % len(pool), so every lockstep
+        # outcome is checked against its lane's one-lane reference.
+        pool, references = butterfly_references
+        lanes = [pool[i % len(pool)] for i in range(size)]
         batched = batch_dc_sweep(lanes)
-        for lane, outcome in zip(lanes, batched):
-            _assert_sweep_equal(outcome, run_lane_scalar(lane))
+        for index, outcome in enumerate(batched):
+            _assert_sweep_equal(outcome, references[index % len(pool)])
 
     def test_rescue_ladder_in_lockstep(self, sims):
         # A starved Newton budget forces sweep points through the rescue
@@ -244,11 +265,9 @@ class TestCampaignParity:
         doe = StudyDOE(array_sizes=(size,))
         scenarios = scenario_grid(operations=OPERATIONS)
         scalar = SimulationCampaign(
-            node, doe=doe, scenarios=scenarios, solver="scalar"
+            node, doe=doe, scenarios=scenarios, item_timeout_s=PER_ITEM_DEADLINE_S
         ).run()
-        batched = SimulationCampaign(
-            node, doe=doe, scenarios=scenarios, solver="batched"
-        ).run()
+        batched = SimulationCampaign(node, doe=doe, scenarios=scenarios).run()
         assert not scalar.failures and not batched.failures
         scalar_by_key = {r.key: r for r in scalar.records}
         assert set(scalar_by_key) == {r.key: r for r in batched.records}.keys()
@@ -258,6 +277,7 @@ class TestCampaignParity:
             "SADP",
             "EUV",
         }
+        assert all(r.solver == "scalar" for r in scalar.records)
         for record in batched.records:
             assert replace(record, wall_s=0.0) == replace(
                 scalar_by_key[record.key], wall_s=0.0
@@ -268,7 +288,6 @@ class TestCampaignParity:
             node,
             doe=StudyDOE(array_sizes=(16,)),
             scenarios=scenario_grid(operations=("read_snm",)),
-            solver="batched",
         )
         results = campaign.run()
         assert results.records
@@ -281,11 +300,11 @@ class TestCampaignParity:
         doe = StudyDOE(array_sizes=(16,))
         scenarios = scenario_grid(operations=("write",))
         scalar = SimulationCampaign(
-            node, doe=doe, scenarios=scenarios, solver="scalar"
+            node, doe=doe, scenarios=scenarios, item_timeout_s=PER_ITEM_DEADLINE_S
         ).run(kinds=("nominal",))
-        batched = SimulationCampaign(
-            node, doe=doe, scenarios=scenarios, solver="batched"
-        ).run(kinds=("nominal",))
+        batched = SimulationCampaign(node, doe=doe, scenarios=scenarios).run(
+            kinds=("nominal",)
+        )
         (a,) = scalar.records
         (b,) = batched.records
         assert b.batch_size == 1

@@ -114,6 +114,23 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown operation"):
             OperationSpec(operations=("erase",))
 
+    @pytest.mark.parametrize("tier", ("scalar", "batched"))
+    def test_legacy_solver_tier_key_is_dropped(self, tier):
+        # Documents from when the campaign's solver tier was a setting
+        # still load, as the same experiment.
+        payload = ExperimentSpec().to_dict()
+        payload["execution"]["solver"] = tier
+        spec = ExperimentSpec.from_dict(payload)
+        assert spec == ExperimentSpec()
+        assert "solver" not in spec.to_dict()["execution"]
+        assert spec.fingerprint() == ExperimentSpec().fingerprint()
+
+    def test_unknown_solver_value_rejected(self):
+        payload = ExperimentSpec().to_dict()
+        payload["execution"]["solver"] = "gpu"
+        with pytest.raises(SpecError, match="solver"):
+            ExperimentSpec.from_dict(payload)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpecError, match="backend"):
             ExecutionSpec(backend="quantum")
