@@ -15,8 +15,7 @@ and checks that the Elmore correction moves the formula *towards* the
 simulation for the wire-dominated (large) arrays.
 """
 
-import pytest
-
+from repro.core.operations import create_operation
 from repro.reporting import format_csv
 
 
@@ -34,13 +33,14 @@ def elmore_corrected_td(model, n):
     )
 
 
-def test_ablation_delay_model_hierarchy(benchmark, analytical_model, simulator):
+def test_ablation_delay_model_hierarchy(benchmark, analytical_model, sims):
     sizes = (16, 64, 256, 1024)
+    read = create_operation("read")
 
     def run():
         rows = []
         for n in sizes:
-            simulated = simulator.measure_nominal(n).td_s
+            simulated = read.measure_nominal(sims, n).td_s
             lumped = analytical_model.td_nominal_s(n)
             elmore = elmore_corrected_td(analytical_model, n)
             rows.append(

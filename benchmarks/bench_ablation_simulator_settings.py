@@ -18,30 +18,25 @@ physics, and therefore need to be shown not to drive the conclusions:
 
 import pytest
 
-from repro.circuit.transient import TransientOptions
+from repro.core.operations import OperationSimulators, create_operation
 from repro.reporting import format_csv
-from repro.sram.read_path import ReadPathSimulator
 
 
 def test_ablation_simulator_settings(benchmark, node):
     n = 256
+    read = create_operation("read")
+
+    def td_ps(**settings) -> float:
+        return read.measure_nominal(OperationSimulators(node, **settings), n).td_s * 1e12
 
     def run():
-        baseline = ReadPathSimulator(node)
-        trapezoidal = ReadPathSimulator(
-            node, transient_options=TransientOptions(method="trapezoidal")
-        )
-        coarse = ReadPathSimulator(node, max_segments=16)
-        fine = ReadPathSimulator(node, max_segments=256)
-        dense_straps = ReadPathSimulator(node, vss_strap_interval_cells=64)
-        sparse_straps = ReadPathSimulator(node, vss_strap_interval_cells=1024)
         return {
-            "backward_euler_td_ps": baseline.measure_nominal(n).td_ps,
-            "trapezoidal_td_ps": trapezoidal.measure_nominal(n).td_ps,
-            "ladder16_td_ps": coarse.measure_nominal(n).td_ps,
-            "ladder256_td_ps": fine.measure_nominal(n).td_ps,
-            "strap64_td_ps": dense_straps.measure_nominal(n).td_ps,
-            "strap1024_td_ps": sparse_straps.measure_nominal(n).td_ps,
+            "backward_euler_td_ps": td_ps(),
+            "trapezoidal_td_ps": td_ps(transient_method="trapezoidal"),
+            "ladder16_td_ps": td_ps(max_segments=16),
+            "ladder256_td_ps": td_ps(max_segments=256),
+            "strap64_td_ps": td_ps(vss_strap_interval_cells=64),
+            "strap1024_td_ps": td_ps(vss_strap_interval_cells=1024),
         }
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -21,10 +21,10 @@ import pytest
 
 from repro.core.analytical import model_from_technology
 from repro.core.montecarlo import MonteCarloTdpStudy
+from repro.core.operations import OperationSimulators
 from repro.core.validation import FormulaValidation
 from repro.core.worst_case import WorstCaseStudy
 from repro.extraction.lpe import ParameterizedLPE
-from repro.sram.read_path import ReadPathSimulator
 from repro.technology.node import n10
 from repro.variability.doe import paper_doe
 
@@ -50,8 +50,8 @@ def lpe(node):
 
 
 @pytest.fixture(scope="session")
-def simulator(node):
-    return ReadPathSimulator(node)
+def sims(node):
+    return OperationSimulators(node)
 
 
 @pytest.fixture(scope="session")

@@ -5,16 +5,16 @@
 through the batched pipeline (draw → print → extract → eq. 4 over arrays)
 and writes ``BENCH_mc.json``.
 
+``--suite ops`` times the write + hold/read SNM campaign (the joint solve
+at one and at ``--ops-workers`` processes) against per-operation
+pipelines and the per-item path, verifies row-level parity, and writes
+``BENCH_ops.json``.
+
 ``--suite service`` starts the HTTP experiment server on an ephemeral
 port and times full submit→poll→fetch round trips of the smoke spec:
 cold (computed), warm (served from the content-addressed result cache)
 and N concurrent clients hammering the cached entry, writing
 ``BENCH_service.json`` (warm-cache speedup floor: 10x).
-
-``--suite sim`` times the simulated half (Fig. 4 / Tables II–III): the
-pre-campaign scalar corner loop against the :class:`SimulationCampaign`
-engine at one and at ``--sim-workers`` processes, verifies row-level
-parity, and writes ``BENCH_sim.json``.
 
 ``--suite faults`` is the chaos bench: it runs a small campaign under
 injected solver faults (``repro.testing.faults``) and measures the cost
@@ -41,19 +41,15 @@ simulator-call budget (1e5) — writing ``BENCH_yield.json``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py              # both suites, full size
+    PYTHONPATH=src python benchmarks/run_benchmarks.py              # every suite, full size
     PYTHONPATH=src python benchmarks/run_benchmarks.py --samples 50 --suite mc
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite sim --sim-sizes 16
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite ops --ops-sizes 16
 
 The MC JSON schema (see README.md, "performance notes"):
 
 * ``points`` — one entry per study point with a ``batch`` sub-object
   (``wall_s``, ``samples_per_s``) and the point's σ(tdp);
 * ``summary`` — the total wall time and the samples/sec of the pipeline.
-
-The sim JSON carries ``baselines.scalar_loop.wall_s``, per-worker-count
-campaign walls, the derived speedups and a ``parity.max_rel_diff`` over
-every Fig. 4 / Table II / Table III value.
 """
 
 from __future__ import annotations
@@ -71,11 +67,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs import history as bench_history  # noqa: E402
-from repro.core.analytical import model_from_technology  # noqa: E402
 from repro.core.campaign import SimulationCampaign, scenario_grid  # noqa: E402
 from repro.core.montecarlo import MonteCarloTdpStudy  # noqa: E402
-from repro.core.worst_case import WorstCaseStudy  # noqa: E402
-from repro.sram.read_path import ReadPathSimulator  # noqa: E402
 from repro.technology.node import n10  # noqa: E402
 from repro.variability.doe import StudyDOE, paper_doe  # noqa: E402
 
@@ -122,127 +115,6 @@ def run_benches(n_samples: int, n_wordlines: int) -> dict:
     return {"points": entries, "summary": summary}
 
 
-def _rows_as_values(figure4, table2, table3) -> list:
-    """Flatten the three row lists into one comparable value vector."""
-    values = []
-    for row in figure4:
-        values.append(row.nominal_td_ps)
-        values.extend(value for _, value in sorted(row.tdp_percent_by_option.items()))
-    for row in table2:
-        values.extend([row.simulation_td_s, row.formula_td_s])
-    for row in table3:
-        values.extend(value for _, value in sorted(row.tdp_percent_by_option.items()))
-    return values
-
-
-class UncachedReadPathSimulator(ReadPathSimulator):
-    """The pre-campaign cost model: every nominal measurement re-simulates,
-    every printed layout re-extracts and every solve rebuilds its Jacobian
-    structure (no memoization).  Used only as the bench baseline, so the
-    engine's dedup/caching shows up honestly in the speedup instead of
-    silently accelerating the baseline too."""
-
-    def measure_nominal(self, n_cells, stored_value=0):
-        column = self.column_parasitics(n_cells)
-        return self.simulate_column(
-            n_cells, column, label="nominal", stored_value=stored_value
-        )
-
-    def printed_extraction(self, n_cells, option, parameters):
-        layout = self.layout_for(n_cells)
-        patterned = option.apply(layout.metal1_pattern, parameters)
-        return self._lpe.extract_pattern(patterned.printed)
-
-    def prepare_simulate_column(self, *args, **kwargs):
-        self._jacobian_template_cache.clear()
-        return super().prepare_simulate_column(*args, **kwargs)
-
-
-def _scalar_loop_rows(node, doe, model):
-    """Fig. 4 / Tables II–III through the scalar corner loop.
-
-    This is the baseline the campaign replaces: one corner at a time via
-    ``penalty_percent`` (which re-simulates the nominal column on every
-    call) and per-experiment pipelines that re-search corners and
-    re-extract every printed layout.
-    """
-    from repro.core.results import WorstCaseTdRow
-    from repro.core.results import FormulaVsSimulationTdRow, FormulaVsSimulationTdpRow
-
-    label = lambda size: f"{doe.n_bitline_pairs}x{size}"  # noqa: E731
-
-    # Fig. 4: nominal td per size plus penalty_percent per (size, option).
-    worst_case = WorstCaseStudy(node, doe=doe)
-    simulator = UncachedReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    figure4 = []
-    for size in doe.array_sizes:
-        nominal = simulator.measure_nominal(size)
-        penalties = {
-            name: simulator.penalty_percent(
-                size, worst_case.option(name), worst_case.find_worst_corner(name).parameters
-            )
-            for name in doe.option_names
-        }
-        figure4.append(
-            WorstCaseTdRow(
-                array_label=label(size),
-                n_wordlines=size,
-                nominal_td_ps=nominal.td_ps,
-                tdp_percent_by_option=penalties,
-            )
-        )
-
-    # Table II: fresh pipeline, nominal simulations again.
-    simulator2 = UncachedReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    table2 = [
-        FormulaVsSimulationTdRow(
-            array_label=label(size),
-            n_wordlines=size,
-            simulation_td_s=simulator2.measure_nominal(size).td_s,
-            formula_td_s=model.td_nominal_s(size),
-        )
-        for size in doe.array_sizes
-    ]
-
-    # Table III: fresh pipeline (its own corner search), the corner loop again.
-    worst_case3 = WorstCaseStudy(node, doe=doe)
-    simulator3 = UncachedReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    table3 = []
-    for size in doe.array_sizes:
-        simulated, formula = {}, {}
-        for name in doe.option_names:
-            corner = worst_case3.find_worst_corner(name)
-            simulated[name] = simulator3.penalty_percent(
-                size, worst_case3.option(name), corner.parameters
-            )
-            formula[name] = model.tdp_percent(
-                size, corner.bitline_variation.rvar, corner.bitline_variation.cvar
-            )
-        table3.append(
-            FormulaVsSimulationTdpRow(
-                method="simulation", array_label=label(size),
-                n_wordlines=size, tdp_percent_by_option=simulated,
-            )
-        )
-        table3.append(
-            FormulaVsSimulationTdpRow(
-                method="formula", array_label=label(size),
-                n_wordlines=size, tdp_percent_by_option=formula,
-            )
-        )
-    return figure4, table2, table3
-
-
-def _campaign_rows(node, doe, model, workers):
-    campaign = SimulationCampaign(node, doe=doe)
-    results = campaign.run(workers=workers)
-    return (
-        campaign.figure4_rows(results),
-        campaign.table2_rows(results, model),
-        campaign.table3_rows(results, model),
-    )
-
-
 def _best_of(repetitions: int, runner):
     """Best-of-N wall clock (fresh state per repetition, min of the walls)."""
     best_wall, rows = None, None
@@ -254,88 +126,8 @@ def _best_of(repetitions: int, runner):
     return best_wall, rows
 
 
-def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
-    import os
-
-    node = n10()
-    doe = StudyDOE(array_sizes=tuple(sizes))
-    model = model_from_technology(node, n_bitline_pairs=doe.n_bitline_pairs)
-
-    scalar_wall, scalar_rows = _best_of(
-        repetitions, lambda: _scalar_loop_rows(node, doe, model)
-    )
-    print(f"scalar corner loop          {scalar_wall*1e3:9.2f} ms")
-
-    walls = {}
-    campaign_rows = {}
-    effective_workers = {}
-    for n_workers in sorted({1, workers}):
-        walls[n_workers], campaign_rows[n_workers] = _best_of(
-            repetitions, lambda: _campaign_rows(node, doe, model, n_workers)
-        )
-        # The engine clamps to available CPUs; record what actually ran so
-        # the artifact is honest about single-core machines.
-        effective_workers[n_workers] = min(
-            n_workers, SimulationCampaign.available_cpus()
-        )
-        print(
-            f"campaign --workers {n_workers:<2}       {walls[n_workers]*1e3:9.2f} ms"
-            f"  (effective workers: {effective_workers[n_workers]})"
-        )
-
-    reference = np.asarray(_rows_as_values(*scalar_rows))
-    max_rel_diff = 0.0
-    for rows in campaign_rows.values():
-        values = np.asarray(_rows_as_values(*rows))
-        scale = np.maximum(np.abs(reference), 1e-30)
-        max_rel_diff = max(
-            max_rel_diff, float(np.max(np.abs(values - reference) / scale))
-        )
-
-    best_wall = min(walls.values())
-    n_items = len(SimulationCampaign(node, doe=doe).work_items())
-    return {
-        "doe": {
-            "array_sizes": list(doe.array_sizes),
-            "option_names": list(doe.option_names),
-            "n_items": n_items,
-        },
-        "baselines": {
-            "scalar_loop": {
-                "wall_s": round(scalar_wall, 6),
-                "description": (
-                    "pre-campaign corner loop: per-corner penalty_percent "
-                    "(nominal re-simulated, printed layout re-extracted per "
-                    "call), fresh pipeline and corner search per experiment"
-                ),
-            },
-        },
-        "campaign": {
-            f"workers_{n}": {
-                "wall_s": round(wall, 6),
-                "effective_workers": effective_workers[n],
-            }
-            for n, wall in walls.items()
-        },
-        "speedup": {
-            "vs_scalar_loop": {
-                f"workers_{n}": round(scalar_wall / wall, 2)
-                for n, wall in walls.items()
-            },
-        },
-        "parity": {"max_rel_diff": max_rel_diff},
-        "summary": {
-            "workers": workers,
-            "effective_workers": effective_workers[workers],
-            "cpu_count": os.cpu_count(),
-            "speedup_at_workers": round(scalar_wall / walls[workers], 2),
-            "speedup_best": round(scalar_wall / best_wall, 2),
-        },
-    }
-
-
-#: Operations of the ops bench (write + both noise margins; read has its
-#: own bench in --suite sim).
+#: Operations of the ops bench (write + both noise margins).  The read
+#: campaign's wall is perfbench's doe4 workload.
 OPS_BENCH_OPERATIONS = ("write", "hold_snm", "read_snm")
 
 #: A per-item deadline that never fires: it selects the campaign's
@@ -1033,7 +825,6 @@ def bench_environment(workers: int | None = None) -> dict:
 #: (regression when it grows).
 GATED_METRICS: dict = {
     "mc": {"batch_samples_per_s": "higher"},
-    "sim": {"speedup_at_workers": "higher"},
     "ops": {"solver_speedup": "higher", "speedup_at_workers": "higher"},
     "service": {
         "speedup_warm_vs_cold": "higher",
@@ -1053,8 +844,6 @@ def _suite_metrics(suite: str, report: dict) -> dict:
     """Pull the gate-relevant scalars out of one suite's report."""
     if suite == "mc":
         return {"batch_samples_per_s": report["summary"]["batch_samples_per_s"]}
-    if suite == "sim":
-        return {"speedup_at_workers": report["summary"]["speedup_at_workers"]}
     if suite == "ops":
         return {
             "solver_speedup": report["summary"]["solver_speedup"],
@@ -1089,8 +878,6 @@ def _suite_config(suite: str, args) -> dict:
     smoke run is never judged against full-DOE baselines."""
     if suite == "mc":
         return {"samples": args.samples, "wordlines": args.wordlines}
-    if suite == "sim":
-        return {"sizes": list(args.sim_sizes), "workers": args.sim_workers}
     if suite == "ops":
         return {"sizes": list(args.ops_sizes), "workers": args.ops_workers}
     if suite == "service":
@@ -1169,7 +956,7 @@ def _history_step(args, suite: str, report: dict) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite",
-                        choices=("mc", "sim", "ops", "service", "faults", "obs",
+                        choices=("mc", "ops", "service", "faults", "obs",
                                  "yield_hs", "all"),
                         default="all",
                         help="which bench suite(s) to run (default: all)")
@@ -1180,13 +967,6 @@ def main() -> int:
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent / "BENCH_mc.json",
                         help="where to write the MC JSON report")
-    parser.add_argument("--sim-sizes", type=int, nargs="+", default=[16, 64, 256, 1024],
-                        help="array sizes of the campaign bench (default: the paper DOE)")
-    parser.add_argument("--sim-workers", type=int, default=4,
-                        help="worker processes for the campaign bench (default 4)")
-    parser.add_argument("--sim-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_sim.json",
-                        help="where to write the sim JSON report")
     parser.add_argument("--ops-sizes", type=int, nargs="+", default=[16, 64, 256, 1024],
                         help="array sizes of the operation-suite bench (default: the paper DOE)")
     parser.add_argument("--ops-workers", type=int, default=4,
@@ -1256,34 +1036,6 @@ def main() -> int:
         summary = report["summary"]
         print(f"batched throughput: {summary['batch_samples_per_s']:.0f} samples/s")
         regressed |= _history_step(args, "mc", report)
-
-    if args.suite in ("sim", "all"):
-        started = time.time()
-        report = _report_header(
-            "simulation_campaign",
-            "Fig.4/Tables II-III benches: the scalar corner loop vs the "
-            "SimulationCampaign engine",
-            started,
-            args.sim_workers,
-        )
-        report.update(run_sim_bench(tuple(args.sim_sizes), args.sim_workers))
-        report["harness_wall_s"] = round(time.time() - started, 3)
-
-        args.sim_output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"\nwrote {args.sim_output}")
-        speedup = report["summary"]["speedup_at_workers"]
-        print(
-            f"campaign speedup at {args.sim_workers} workers: {speedup}x "
-            f"(parity max rel diff {report['parity']['max_rel_diff']:.2e})"
-        )
-        if report["parity"]["max_rel_diff"] > 1e-12:
-            print("WARNING: campaign rows diverge from the scalar corner loop")
-            exit_code = 1
-        full_doe = tuple(args.sim_sizes) == (16, 64, 256, 1024)
-        if full_doe and args.sim_workers >= 4 and speedup < 3.0:
-            print("WARNING: campaign is below the 3x acceptance floor")
-            exit_code = 1
-        regressed |= _history_step(args, "sim", report)
 
     if args.suite in ("ops", "all"):
         started = time.time()

@@ -24,7 +24,12 @@ Run with::
 from __future__ import annotations
 
 from repro import n10
-from repro.core import MonteCarloTdpStudy, OperationSimulators, WorstCaseStudy
+from repro.core import (
+    MonteCarloTdpStudy,
+    OperationSimulators,
+    WorstCaseStudy,
+    create_operation,
+)
 from repro.reporting import format_operation_sigma, format_operation_table
 from repro.variability.doe import StudyDOE
 
@@ -75,9 +80,10 @@ def main() -> None:
         print()
 
     print("Hold-SNM degradation as the supply-rail distortion grows:")
+    hold_snm = create_operation("hold_snm")
     for scale in (1.0, 4.0, 8.0, 16.0):
-        snm = sims.margins.measure_with_variation(64, vss_rvar=scale, mode="hold")
-        print(f"  rail R x{scale:4g}: {snm.snm_mv:6.1f} mV")
+        snm_v = hold_snm.value_with_variation(sims, 64, 1.0, 1.0, rail_rvar=scale)
+        print(f"  rail R x{scale:4g}: {snm_v * 1e3:6.1f} mV")
     print()
 
     print("=== Monte-Carlo sigma of the write-delay impact ===")

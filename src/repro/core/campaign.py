@@ -553,9 +553,6 @@ class CampaignWorkerState:
         key = (scenario.vss_strap_interval_cells, scenario.method)
         bundle = self._bundles.get(key)
         if bundle is None:
-            # transient_method (not a TransientOptions override) so the
-            # method axis changes only the integrator: the derived
-            # step-size policy stays identical across methods.
             bundle = OperationSimulators(
                 self.node,
                 n_bitline_pairs=self.n_bitline_pairs,

@@ -13,16 +13,18 @@ hold_snm   hold static noise margin (butterfly)     margin  volts
 read_snm   read static noise margin (butterfly)     margin  volts
 ========== ======================================== ======= =========
 
-Every operation implements the small :class:`Operation` interface:
-three ``prepare_*`` methods (nominal / printed-corner / scaled-variation)
-that build each measurement as :class:`~repro.circuit.batch.PreparedWork`
-finishing to a uniform :class:`OperationMeasurement`.  That is the only
-way a measurement is built: the batched tier stacks the prepared lanes of
-many items into one joint solve, and the one-lane ``measure_*`` entry
-points are derived once, in the base class, as ``prepare_*(...).run_scalar()``.
-The campaign engine, the worst-case study and the Monte-Carlo layer can
-therefore iterate over operations the same way they iterate over
-patterning options and array sizes.
+Every operation implements one method of the small :class:`Operation`
+interface, :meth:`~Operation.prepare_column`: how one given column is
+measured, as :class:`~repro.circuit.batch.PreparedWork` finishing to a
+uniform :class:`OperationMeasurement`.  Which column is measured is
+derived once, in the base class: the nominal column (memoised per
+bundle), the column printed at a patterning corner, or the nominal column
+scaled by explicit variation ratios.  That is the only way a measurement
+is built: the batched tier stacks the prepared lanes of many items into
+one joint solve, and the one-lane ``measure_*`` entry points are
+``prepare_*(...).run_scalar()``.  The campaign engine, the worst-case
+study and the Monte-Carlo layer can therefore iterate over operations the
+same way they iterate over patterning options and array sizes.
 
 :class:`OperationSimulators` bundles the three simulators behind one
 shared geometry stack — layouts, nominal and printed extractions are
@@ -39,14 +41,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuit.batch import PreparedWork
 from ..patterning.base import ParameterValues, PatterningOption
 from ..sram.margins import SRAMMarginAnalyzer
-from ..sram.read_path import ReadPathSimulator
+from ..sram.read_path import ColumnParasitics, ReadPathSimulator
 from ..sram.write_path import WritePathSimulator
 from ..technology.node import TechnologyNode
 
@@ -89,6 +91,12 @@ class OperationSimulators:
     the write simulator and the margin analyzer compose it, so a campaign
     chunk mixing operations extracts each printed layout exactly once.
     Construction is lazy — a read-only workload never builds the others.
+
+    ``nominal_measurements`` memoises :meth:`Operation.prepare_nominal`
+    per ``(operation, n_cells, stored value)``; the static margins ignore
+    the stored value, so theirs is always 0.  It is the bundle's own:
+    measurements depend on its simulation settings, so
+    :meth:`adopt_shared_caches` does not share it.
     """
 
     def __init__(
@@ -107,6 +115,7 @@ class OperationSimulators:
         self._read: Optional[ReadPathSimulator] = None
         self._write: Optional[WritePathSimulator] = None
         self._margins: Optional[SRAMMarginAnalyzer] = None
+        self.nominal_measurements: Dict[Tuple[str, int, int], OperationMeasurement] = {}
 
     @property
     def read(self) -> ReadPathSimulator:
@@ -152,9 +161,12 @@ class OperationSimulators:
 class Operation(abc.ABC):
     """One SRAM operation: a named measurement over the shared stack.
 
-    Subclasses build each measurement as :class:`PreparedWork` (lane specs
-    plus a ``finish`` continuation); the one-lane ``measure_*`` entry
-    points are derived here by solving that work with the one-lane drivers.
+    A subclass says only how one given column is measured
+    (:meth:`prepare_column`).  This class derives which column that is —
+    nominal, printed by a patterning option, or scaled by explicit
+    variation ratios — memoises the nominal, and provides the one-lane
+    ``measure_*`` entry points by solving the prepared work with the
+    one-lane drivers.
     """
 
     #: Registry name (e.g. ``"write"``).
@@ -165,12 +177,38 @@ class Operation(abc.ABC):
     unit: str = "s"
 
     @abc.abstractmethod
+    def prepare_column(
+        self,
+        sims: OperationSimulators,
+        n_cells: int,
+        column: ColumnParasitics,
+        label: str,
+        stored_value: int = 0,
+    ) -> PreparedWork:
+        """The measurement of one given column, as prepared work."""
+
     def prepare_nominal(
         self, sims: OperationSimulators, n_cells: int, stored_value: int = 0
     ) -> PreparedWork:
-        """The nominal (un-distorted) measurement of one column, as prepared work."""
+        """The nominal (un-distorted) column; a memo hit carries zero lanes.
 
-    @abc.abstractmethod
+        Memoised on ``sims``: corner sweeps compare many printed columns
+        against the same nominal, which therefore simulates once.
+        """
+        key = (self.name, n_cells, stored_value)
+        cached = sims.nominal_measurements.get(key)
+        if cached is not None:
+            return PreparedWork(lanes=[], finish=lambda _results: cached)
+
+        def memoize(measurement: OperationMeasurement) -> OperationMeasurement:
+            sims.nominal_measurements[key] = measurement
+            return measurement
+
+        column = sims.read.column_parasitics(n_cells)
+        return self.prepare_column(
+            sims, n_cells, column, "nominal", stored_value=stored_value
+        ).mapped(memoize)
+
     def prepare_with_patterning(
         self,
         sims: OperationSimulators,
@@ -180,9 +218,17 @@ class Operation(abc.ABC):
         stored_value: int = 0,
         label: Optional[str] = None,
     ) -> PreparedWork:
-        """The measurement with the column printed by ``option``, as prepared work."""
+        """The column printed by ``option`` at ``parameters``."""
+        extraction = sims.read.printed_extraction(n_cells, option, parameters)
+        column = sims.read.column_parasitics(n_cells, extraction)
+        return self.prepare_column(
+            sims,
+            n_cells,
+            column,
+            label if label is not None else option.name,
+            stored_value=stored_value,
+        )
 
-    @abc.abstractmethod
     def prepare_value_with_variation(
         self,
         sims: OperationSimulators,
@@ -199,6 +245,10 @@ class Operation(abc.ABC):
         stacks many of these into one batched solve when it promotes
         surrogate-uncertain samples.
         """
+        column = sims.read.column_parasitics(n_cells).scaled(rvar, cvar, rail_rvar)
+        return self.prepare_column(sims, n_cells, column, "scaled").mapped(
+            lambda measurement: measurement.value
+        )
 
     def measure_nominal(
         self, sims: OperationSimulators, n_cells: int, stored_value: int = 0
@@ -258,22 +308,10 @@ class ReadOperation(Operation):
             vss_rail_resistance_ohm=measurement.vss_rail_resistance_ohm,
         )
 
-    def prepare_nominal(self, sims, n_cells, stored_value=0):
-        return sims.read.prepare_nominal(
-            n_cells, stored_value=stored_value
+    def prepare_column(self, sims, n_cells, column, label, stored_value=0):
+        return sims.read.prepare_simulate_column(
+            n_cells, column, label, stored_value=stored_value
         ).mapped(self._wrap)
-
-    def prepare_with_patterning(
-        self, sims, n_cells, option, parameters, stored_value=0, label=None
-    ):
-        return sims.read.prepare_with_patterning(
-            n_cells, option, parameters, label=label, stored_value=stored_value
-        ).mapped(self._wrap)
-
-    def prepare_value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
-        return sims.read.prepare_with_variation(
-            n_cells, rvar, cvar, vss_rvar=rail_rvar
-        ).mapped(lambda measurement: measurement.td_s)
 
 
 class WriteOperation(Operation):
@@ -300,22 +338,10 @@ class WriteOperation(Operation):
             vss_rail_resistance_ohm=measurement.vss_rail_resistance_ohm,
         )
 
-    def prepare_nominal(self, sims, n_cells, stored_value=0):
-        return sims.write.prepare_nominal(
-            n_cells, write_value=stored_value
+    def prepare_column(self, sims, n_cells, column, label, stored_value=0):
+        return sims.write.prepare_simulate_column(
+            n_cells, column, label, write_value=stored_value
         ).mapped(self._wrap)
-
-    def prepare_with_patterning(
-        self, sims, n_cells, option, parameters, stored_value=0, label=None
-    ):
-        return sims.write.prepare_with_patterning(
-            n_cells, option, parameters, label=label, write_value=stored_value
-        ).mapped(self._wrap)
-
-    def prepare_value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
-        return sims.write.prepare_with_variation(
-            n_cells, rvar, cvar, vss_rvar=rail_rvar
-        ).mapped(lambda measurement: measurement.write_delay_s)
 
 
 class _SnmOperation(Operation):
@@ -341,20 +367,14 @@ class _SnmOperation(Operation):
             vss_rail_resistance_ohm=measurement.vss_rail_resistance_ohm,
         )
 
-    def prepare_nominal(self, sims, n_cells, stored_value=0):
-        return sims.margins.prepare_nominal(n_cells, mode=self.mode).mapped(self._wrap)
-
-    def prepare_with_patterning(
-        self, sims, n_cells, option, parameters, stored_value=0, label=None
-    ):
-        return sims.margins.prepare_with_patterning(
-            n_cells, option, parameters, mode=self.mode, label=label
+    def prepare_column(self, sims, n_cells, column, label, stored_value=0):
+        return sims.margins.prepare_measure(
+            n_cells, column, mode=self.mode, label=label
         ).mapped(self._wrap)
 
-    def prepare_value_with_variation(self, sims, n_cells, rvar, cvar, rail_rvar=1.0):
-        return sims.margins.prepare_with_variation(
-            n_cells, rvar, cvar, vss_rvar=rail_rvar, mode=self.mode
-        ).mapped(lambda measurement: measurement.snm_v)
+    def prepare_nominal(self, sims, n_cells, stored_value=0):
+        # One memo entry per size, whatever stored value is asked for.
+        return super().prepare_nominal(sims, n_cells)
 
 
 class HoldSnmOperation(_SnmOperation):

@@ -38,7 +38,6 @@ from ..circuit.batch import PreparedWork, SweepLaneSpec
 from ..circuit.dc import NewtonOptions
 from ..circuit.elements import Resistor, VoltageSource
 from ..circuit.netlist import Circuit
-from ..patterning.base import ParameterValues, PatterningOption
 from ..technology.node import TechnologyNode
 from .cell import CellNodes, build_cell
 from .read_path import ColumnParasitics, ReadPathSimulator
@@ -119,16 +118,6 @@ class MarginMeasurement:
     vss_rail_resistance_ohm: float
     vdd_rail_resistance_ohm: float
 
-    @property
-    def snm_mv(self) -> float:
-        return self.snm_v * 1e3
-
-    def degradation_percent_vs(self, nominal: "MarginMeasurement") -> float:
-        """SNM loss versus a nominal measurement, in percent (positive = worse)."""
-        if nominal.snm_v <= 0.0:
-            raise MarginAnalysisError("nominal SNM must be positive")
-        return (1.0 - self.snm_v / nominal.snm_v) * 100.0
-
 
 class SRAMMarginAnalyzer:
     """Hold / read SNM of the DOE columns under patterning variability.
@@ -172,12 +161,6 @@ class SRAMMarginAnalyzer:
                 vss_strap_interval_cells=vss_strap_interval_cells,
             )
         )
-        # Nominal margins keyed by (n_cells, mode).
-        self._nominal_cache: Dict[Tuple[int, str], MarginMeasurement] = {}
-
-    def invalidate_caches(self) -> None:
-        """Drop the nominal-margin memo (geometry caches live on the donor)."""
-        self._nominal_cache.clear()
 
     def column_parasitics(self, n_cells: int, extraction=None) -> ColumnParasitics:
         return self.geometry.column_parasitics(n_cells, extraction)
@@ -333,107 +316,3 @@ class SRAMMarginAnalyzer:
         return self._prepare_butterfly(
             n_cells, chosen, mode=mode, points=points
         ).mapped(measurement)
-
-    def measure(
-        self,
-        n_cells: int,
-        column: Optional[ColumnParasitics] = None,
-        mode: str = "hold",
-        label: str = "nominal",
-        points: Optional[int] = None,
-    ) -> MarginMeasurement:
-        """One SNM measurement (butterfly + largest square)."""
-        return self.prepare_measure(
-            n_cells, column, mode=mode, label=label, points=points
-        ).run_scalar()
-
-    # -- public measurement entry points -------------------------------------------
-
-    def prepare_nominal(self, n_cells: int, mode: str = "hold") -> PreparedWork:
-        """Nominal SNM as prepared work; a memo hit carries zero lanes."""
-        if mode not in MARGIN_MODES:
-            raise MarginAnalysisError(f"mode must be one of {MARGIN_MODES}")
-        key = (n_cells, mode)
-        cached = self._nominal_cache.get(key)
-        if cached is not None:
-            return PreparedWork(lanes=[], finish=lambda _results: cached)
-        prepared = self.prepare_measure(n_cells, mode=mode, label="nominal")
-
-        def memoize(measurement: MarginMeasurement) -> MarginMeasurement:
-            self._nominal_cache[key] = measurement
-            return measurement
-
-        return prepared.mapped(memoize)
-
-    def measure_nominal(self, n_cells: int, mode: str = "hold") -> MarginMeasurement:
-        """Nominal SNM of an ``n_cells`` column (memoized per mode)."""
-        return self.prepare_nominal(n_cells, mode=mode).run_scalar()
-
-    def measure_hold_snm(self, n_cells: int) -> MarginMeasurement:
-        return self.measure_nominal(n_cells, mode="hold")
-
-    def measure_read_snm(self, n_cells: int) -> MarginMeasurement:
-        return self.measure_nominal(n_cells, mode="read")
-
-    def prepare_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        mode: str = "hold",
-        label: Optional[str] = None,
-    ) -> PreparedWork:
-        """Printed-column SNM as prepared work."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.prepare_measure(
-            n_cells,
-            column,
-            mode=mode,
-            label=label if label is not None else option.name,
-        )
-
-    def measure_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        mode: str = "hold",
-        label: Optional[str] = None,
-    ) -> MarginMeasurement:
-        """SNM with the column printed by ``option`` at ``parameters``."""
-        return self.prepare_with_patterning(
-            n_cells, option, parameters, mode=mode, label=label
-        ).run_scalar()
-
-    def prepare_with_variation(
-        self,
-        n_cells: int,
-        rvar: float = 1.0,
-        cvar: float = 1.0,
-        vss_rvar: float = 1.0,
-        mode: str = "hold",
-        label: str = "scaled",
-    ) -> PreparedWork:
-        """SNM with the nominal column scaled by explicit RC ratios, as
-        prepared work (the batched promotion path).
-
-        ``vss_rvar`` scales both supply-rail resistances (see
-        :meth:`ColumnParasitics.scaled`).
-        """
-        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
-        return self.prepare_measure(n_cells, scaled, mode=mode, label=label)
-
-    def measure_with_variation(
-        self,
-        n_cells: int,
-        rvar: float = 1.0,
-        cvar: float = 1.0,
-        vss_rvar: float = 1.0,
-        mode: str = "hold",
-        label: str = "scaled",
-    ) -> MarginMeasurement:
-        """SNM with the nominal column scaled by explicit RC ratios."""
-        return self.prepare_with_variation(
-            n_cells, rvar, cvar, vss_rvar=vss_rvar, mode=mode, label=label
-        ).run_scalar()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..circuit.batch import PreparedWork, TransientLaneSpec, run_lane_scalar
+from ..circuit.batch import PreparedWork, TransientLaneSpec
 from ..circuit.mna import JacobianTemplate
 from ..circuit.transient import TransientOptions, TransientSolver
 from ..extraction.field import ExtractionResult
@@ -44,10 +44,6 @@ class ReadMeasurement:
     bitline_capacitance_f: float
     vss_rail_resistance_ohm: float
     stop_reason: str
-
-    @property
-    def td_ps(self) -> float:
-        return self.td_s * 1e12
 
     def penalty_vs(self, nominal: "ReadMeasurement") -> float:
         """Read-time penalty ``tdp`` relative to a nominal measurement.
@@ -93,6 +89,41 @@ class ColumnParasitics:
         )
 
 
+def transient_window(
+    node: TechnologyNode,
+    column: ColumnParasitics,
+    swing_v: float,
+    method: Optional[str],
+) -> TransientOptions:
+    """A safe simulation window derived from the column's time constants.
+
+    ``swing_v`` is the bit-line swing the measurement waits for: the
+    sense-amp sensitivity for a read, Vdd for a write (whose far-end node
+    has to recover through the full ladder resistance).  The
+    current-limited estimate of that swing is padded for the RC tail, the
+    VSS bounce and the word-line delay; the stop condition ends the run
+    at the event, so generosity costs nothing.  ``method`` picks the
+    integrator (backward Euler when None) and nothing else.
+    """
+    conditions = node.operating_conditions
+    pass_gate = node.sram_devices.pass_gate
+    drive_a = max(
+        pass_gate.on_current_a(conditions.vdd_v, node.sram_devices.pass_gate_fins),
+        1e-9,
+    )
+    total_c = column.bitline.total_capacitance_f
+    estimate_s = total_c * swing_v / drive_a
+    rc_s = column.bitline.total_resistance_ohm * total_c
+    t_stop = 20.0 * (estimate_s + rc_s) + 100e-12
+    dt_max = max(min(t_stop / 200.0, 10e-12), 2e-13)
+    return TransientOptions(
+        t_stop_s=t_stop,
+        dt_initial_s=min(1e-13, dt_max / 10.0),
+        dt_max_s=dt_max,
+        method=method if method is not None else "backward-euler",
+    )
+
+
 class ReadPathSimulator:
     """Simulates worst-case reads of the DOE columns.
 
@@ -113,16 +144,16 @@ class ReadPathSimulator:
         nearest strap, so its resistance saturates at
         ``strap_interval × R_vss_per_cell`` for long arrays.  256 cells is
         a conservative strap pitch for an un-meshed test macro.
-    transient_options:
-        Optional overrides of the transient-solver settings (the time
-        window and step limits are always derived from the array size).
     transient_method:
-        Integration method for the *derived* options path
-        (``"backward-euler"`` or ``"trapezoidal"``).  Unlike passing a
-        ``transient_options`` override, this changes only the integrator —
-        the step-size policy stays the derived one, so method comparisons
-        are not confounded by different dt knobs.  Ignored when
-        ``transient_options`` is given (the override's method wins).
+        Integration method (``"backward-euler"``, the default, or
+        ``"trapezoidal"``).  It changes only the integrator: the time
+        window and step limits are always derived from the column (see
+        :func:`transient_window`), so method comparisons are not
+        confounded by different dt knobs.
+
+    The simulator builds and measures one given column; which column is
+    measured (nominal, printed or scaled) is decided by
+    :class:`repro.core.operations.Operation`.
     """
 
     def __init__(
@@ -131,7 +162,6 @@ class ReadPathSimulator:
         n_bitline_pairs: int = 10,
         max_segments: int = 64,
         vss_strap_interval_cells: int = 256,
-        transient_options: Optional[TransientOptions] = None,
         transient_method: Optional[str] = None,
     ) -> None:
         if vss_strap_interval_cells < 1:
@@ -144,7 +174,6 @@ class ReadPathSimulator:
         self.n_bitline_pairs = n_bitline_pairs
         self.max_segments = max_segments
         self.vss_strap_interval_cells = vss_strap_interval_cells
-        self._base_transient_options = transient_options
         self._transient_method = transient_method
         self._lpe = ParameterizedLPE(node)
         self._layout_cache: Dict[int, SRAMArrayLayout] = {}
@@ -155,9 +184,6 @@ class ReadPathSimulator:
         self._printed_extraction_cache: Dict[
             Tuple[int, str, Tuple[Tuple[str, float], ...]], ExtractionResult
         ] = {}
-        # Nominal read measurements keyed by (n_cells, stored_value), so a
-        # corner sweep pays for the nominal simulation once per size.
-        self._nominal_measurement_cache: Dict[Tuple[int, int], ReadMeasurement] = {}
         # Jacobian CSC structures keyed by circuit topology: corners of the
         # same ladder only change stamp values, not the sparsity pattern.
         self._jacobian_template_cache: Dict[Tuple[int, int], JacobianTemplate] = {}
@@ -166,28 +192,14 @@ class ReadPathSimulator:
     #: sweep touches |sizes| x |options| = 12 distinct corners).
     PRINTED_CACHE_SIZE = 64
 
-    def invalidate_caches(self) -> None:
-        """Drop every memoized layout, extraction, measurement and template.
-
-        Call after mutating anything the caches depend on (the node is
-        treated as immutable by this class, so normal use never needs it).
-        """
-        self._layout_cache.clear()
-        self._nominal_extraction_cache.clear()
-        self._printed_extraction_cache.clear()
-        self._nominal_measurement_cache.clear()
-        self._jacobian_template_cache.clear()
-        self._lpe = ParameterizedLPE(self.node)
-
     def adopt_shared_caches(self, donor: "ReadPathSimulator") -> None:
         """Share the geometry-derived caches with another simulator.
 
         Layouts, extractions and Jacobian structures depend only on the node
         and the array geometry, so simulators that differ in simulation
         settings (VSS strap interval, transient method, stored value) can
-        reuse them.  The nominal *measurement* cache is deliberately not
-        shared — measurements do depend on those settings.  Used by the
-        campaign engine so scenario variants extract each layout once.
+        reuse them.  Used by the campaign engine so scenario variants
+        extract each layout once.
         """
         if donor.node is not self.node or donor.n_bitline_pairs != self.n_bitline_pairs:
             raise ReadSimulationError(
@@ -223,6 +235,33 @@ class ReadPathSimulator:
                 layout.metal1_pattern
             )
         return self._nominal_extraction_cache[n_cells]
+
+    def printed_extraction(
+        self,
+        n_cells: int,
+        option: PatterningOption,
+        parameters: ParameterValues,
+    ) -> ExtractionResult:
+        """Extraction of the column printed by ``option`` at ``parameters``.
+
+        Memoized per ``(n_cells, option, corner)`` so the studies that visit
+        the same worst-case corner repeatedly (Fig. 4 and Table III share
+        corners) print and extract each layout once.
+        """
+        key = (
+            n_cells,
+            option.name,
+            tuple(sorted((name, float(value)) for name, value in parameters.items())),
+        )
+        cached = self._printed_extraction_cache.get(key)
+        if cached is None:
+            layout = self.layout_for(n_cells)
+            patterned = option.apply(layout.metal1_pattern, parameters)
+            cached = self._lpe.extract_pattern(patterned.printed)
+            if len(self._printed_extraction_cache) >= self.PRINTED_CACHE_SIZE:
+                self._printed_extraction_cache.clear()
+            self._printed_extraction_cache[key] = cached
+        return cached
 
     def _column_nets(self, layout: SRAMArrayLayout) -> Tuple[str, str, str, str]:
         """Net names of the central column's BL, BLB, VSS and VDD rails."""
@@ -264,52 +303,6 @@ class ReadPathSimulator:
 
     # -- circuit construction and simulation --------------------------------------------
 
-    def _transient_options_for(self, column: ColumnParasitics) -> TransientOptions:
-        """Derive a safe simulation window from the column's time constants."""
-        conditions = self.node.operating_conditions
-        pass_gate = self.node.sram_devices.pass_gate
-        drive_a = max(
-            pass_gate.on_current_a(conditions.vdd_v, self.node.sram_devices.pass_gate_fins),
-            1e-9,
-        )
-        total_c = column.bitline.total_capacitance_f
-        # Current-limited estimate of the time to build the sense margin,
-        # padded for the RC tail, the VSS bounce and the word-line delay.
-        estimate_s = total_c * conditions.sense_amp_sensitivity_v / drive_a
-        rc_s = column.bitline.total_resistance_ohm * total_c
-        t_stop = 20.0 * (estimate_s + rc_s) + 100e-12
-        base = self._base_transient_options
-        dt_max = max(min(t_stop / 200.0, 10e-12), 2e-13)
-        if base is None:
-            return TransientOptions(
-                t_stop_s=t_stop,
-                dt_initial_s=min(1e-13, dt_max / 10.0),
-                dt_max_s=dt_max,
-                method=(
-                    self._transient_method
-                    if self._transient_method is not None
-                    else "backward-euler"
-                ),
-            )
-        # The derived cap can undercut the user's dt_initial/dt_min, so both
-        # must be clamped into the tightened window or TransientOptions
-        # rejects the combination for small arrays.
-        dt_max_s = min(base.dt_max_s, dt_max)
-        dt_initial_s = min(base.dt_initial_s, dt_max_s)
-        dt_min_s = min(base.dt_min_s, dt_initial_s)
-        return TransientOptions(
-            t_stop_s=t_stop,
-            dt_initial_s=dt_initial_s,
-            dt_min_s=dt_min_s,
-            dt_max_s=dt_max_s,
-            dt_growth=base.dt_growth,
-            dt_shrink=base.dt_shrink,
-            method=base.method,
-            newton=base.newton,
-            max_steps=base.max_steps,
-            record_nodes=base.record_nodes,
-        )
-
     def build_circuit(
         self,
         n_cells: int,
@@ -337,7 +330,12 @@ class ReadPathSimulator:
     ) -> PreparedWork:
         """One read measurement as prepared work (a single transient lane)."""
         read_circuit = self.build_circuit(n_cells, column, stored_value)
-        options = self._transient_options_for(column)
+        options = transient_window(
+            self.node,
+            column,
+            self.node.operating_conditions.sense_amp_sensitivity_v,
+            self._transient_method,
+        )
         # Corners of the same topology (segment count + stored value) share
         # one Jacobian sparsity structure; only the stamp values differ.
         template_key = (min(n_cells, self.max_segments), stored_value)
@@ -386,155 +384,3 @@ class ReadPathSimulator:
             )
 
         return PreparedWork(lanes=[lane], finish=finish)
-
-    def simulate_column(
-        self,
-        n_cells: int,
-        column: ColumnParasitics,
-        label: str,
-        stored_value: int = 0,
-        return_waveforms: bool = False,
-    ):
-        """Run one read and measure td.
-
-        Returns a :class:`ReadMeasurement`, or a ``(measurement, result)``
-        tuple when ``return_waveforms`` is true.
-        """
-        prepared = self.prepare_simulate_column(
-            n_cells, column, label, stored_value=stored_value
-        )
-        (lane,) = prepared.lanes
-        result = run_lane_scalar(lane)
-        measurement = prepared.finish([result])
-        return (measurement, result) if return_waveforms else measurement
-
-    # -- public measurement entry points ----------------------------------------------------
-
-    def prepare_nominal(self, n_cells: int, stored_value: int = 0) -> PreparedWork:
-        """Nominal read time as prepared work; a memo hit carries zero lanes.
-
-        Memoized per ``(n_cells, stored_value)``: corner sweeps compare many
-        printed columns against the same nominal, which therefore simulates
-        once.  :meth:`invalidate_caches` drops the memo together with the
-        extraction caches.
-        """
-        key = (n_cells, stored_value)
-        cached = self._nominal_measurement_cache.get(key)
-        if cached is not None:
-            return PreparedWork(lanes=[], finish=lambda _results: cached)
-        column = self.column_parasitics(n_cells)
-        prepared = self.prepare_simulate_column(
-            n_cells, column, label="nominal", stored_value=stored_value
-        )
-
-        def memoize(measurement: ReadMeasurement) -> ReadMeasurement:
-            self._nominal_measurement_cache[key] = measurement
-            return measurement
-
-        return prepared.mapped(memoize)
-
-    def measure_nominal(self, n_cells: int, stored_value: int = 0) -> ReadMeasurement:
-        """Nominal read time of an ``n_cells`` column (no patterning variation)."""
-        return self.prepare_nominal(n_cells, stored_value=stored_value).run_scalar()
-
-    def printed_extraction(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-    ) -> ExtractionResult:
-        """Extraction of the column printed by ``option`` at ``parameters``.
-
-        Memoized per ``(n_cells, option, corner)`` so the studies that visit
-        the same worst-case corner repeatedly (Fig. 4 and Table III share
-        corners) print and extract each layout once.
-        """
-        key = (
-            n_cells,
-            option.name,
-            tuple(sorted((name, float(value)) for name, value in parameters.items())),
-        )
-        cached = self._printed_extraction_cache.get(key)
-        if cached is None:
-            layout = self.layout_for(n_cells)
-            patterned = option.apply(layout.metal1_pattern, parameters)
-            cached = self._lpe.extract_pattern(patterned.printed)
-            if len(self._printed_extraction_cache) >= self.PRINTED_CACHE_SIZE:
-                self._printed_extraction_cache.clear()
-            self._printed_extraction_cache[key] = cached
-        return cached
-
-    def prepare_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        label: Optional[str] = None,
-        stored_value: int = 0,
-    ) -> PreparedWork:
-        """Printed-column read time as prepared work."""
-        extraction = self.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.prepare_simulate_column(
-            n_cells,
-            column,
-            label=label if label is not None else option.name,
-            stored_value=stored_value,
-        )
-
-    def measure_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        label: Optional[str] = None,
-        stored_value: int = 0,
-    ) -> ReadMeasurement:
-        """Read time with the column printed by ``option`` at ``parameters``."""
-        return self.prepare_with_patterning(
-            n_cells, option, parameters, label=label, stored_value=stored_value
-        ).run_scalar()
-
-    def prepare_with_variation(
-        self,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        vss_rvar: float = 1.0,
-        label: str = "scaled",
-    ) -> PreparedWork:
-        """Read time with the nominal column scaled by explicit RC ratios.
-
-        This is the fast path used for cross-checking the analytical
-        formula: instead of re-extracting a printed layout, the nominal
-        bit-line R and C are multiplied by ``rvar``/``cvar`` (and the VSS
-        rail by ``vss_rvar``).  The high-sigma engine promotes
-        surrogate-uncertain Monte-Carlo draws through this: many scaled
-        columns become lanes in one batched transient solve.
-        """
-        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
-        return self.prepare_simulate_column(n_cells, scaled, label=label)
-
-    def measure_with_variation(
-        self,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        vss_rvar: float = 1.0,
-        label: str = "scaled",
-    ) -> ReadMeasurement:
-        """Read time of :meth:`prepare_with_variation`, solved on its own."""
-        return self.prepare_with_variation(
-            n_cells, rvar, cvar, vss_rvar=vss_rvar, label=label
-        ).run_scalar()
-
-    def penalty_percent(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-    ) -> float:
-        """Convenience: simulated tdp (%) of one option/corner versus nominal."""
-        nominal = self.measure_nominal(n_cells)
-        varied = self.measure_with_patterning(n_cells, option, parameters)
-        return varied.penalty_percent_vs(nominal)

@@ -29,19 +29,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.batch import PreparedWork, TransientLaneSpec, run_lane_scalar
+from ..circuit.batch import PreparedWork, TransientLaneSpec
 from ..circuit.dc import NewtonOptions, dc_sweep
 from ..circuit.elements import PiecewiseLinear, Resistor, VoltageSource
 from ..circuit.mna import JacobianTemplate
 from ..circuit.mosfet import MOSFET
 from ..circuit.netlist import Circuit
-from ..circuit.transient import TransientOptions, TransientSolver
-from ..patterning.base import ParameterValues, PatterningOption
+from ..circuit.transient import TransientSolver
 from ..technology.node import TechnologyNode
 from .bitline import build_bitline_ladder
 from .cell import CellNodes, build_cell
 from .precharge import build_precharge, precharge_fins
-from .read_path import ColumnParasitics, ReadPathSimulator
+from .read_path import ColumnParasitics, ReadPathSimulator, transient_window
 
 
 class WriteSimulationError(RuntimeError):
@@ -62,15 +61,6 @@ class WriteMeasurement:
     bitline_capacitance_f: float
     vss_rail_resistance_ohm: float
     stop_reason: str
-
-    def penalty_vs(self, nominal: "WriteMeasurement") -> float:
-        """Write-delay penalty ratio versus a nominal measurement."""
-        if nominal.write_delay_s <= 0.0:
-            raise WriteSimulationError("nominal write delay must be positive")
-        return self.write_delay_s / nominal.write_delay_s
-
-    def penalty_percent_vs(self, nominal: "WriteMeasurement") -> float:
-        return (self.penalty_vs(nominal) - 1.0) * 100.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,6 @@ class WritePathSimulator:
         n_bitline_pairs: int = 10,
         max_segments: int = 64,
         vss_strap_interval_cells: int = 256,
-        transient_options: Optional[TransientOptions] = None,
         transient_method: Optional[str] = None,
         geometry: Optional[ReadPathSimulator] = None,
     ) -> None:
@@ -137,7 +126,6 @@ class WritePathSimulator:
         self.node = node
         self.n_bitline_pairs = n_bitline_pairs
         self.max_segments = max_segments
-        self._base_transient_options = transient_options
         self._transient_method = transient_method
         self.geometry = (
             geometry
@@ -149,23 +137,11 @@ class WritePathSimulator:
                 vss_strap_interval_cells=vss_strap_interval_cells,
             )
         )
-        # Nominal write measurements keyed by (n_cells, write_value): corner
-        # sweeps compare many printed columns against one nominal.
-        self._nominal_measurement_cache: Dict[Tuple[int, int], WriteMeasurement] = {}
+        # Nominal DC write margins keyed by (n_cells, write_value).
         self._nominal_margin_cache: Dict[Tuple[int, int], WriteMarginMeasurement] = {}
         # Jacobian CSC structures keyed by (segments, write_value): corners
         # of the same ladder topology only change stamp values.
         self._jacobian_template_cache: Dict[Tuple[int, int], JacobianTemplate] = {}
-
-    def invalidate_caches(self) -> None:
-        """Drop the measurement memos and Jacobian templates.
-
-        The geometry caches belong to the composed read simulator; call its
-        :meth:`ReadPathSimulator.invalidate_caches` to drop those too.
-        """
-        self._nominal_measurement_cache.clear()
-        self._nominal_margin_cache.clear()
-        self._jacobian_template_cache.clear()
 
     # -- extraction plumbing (delegated to the shared geometry stack) ---------------
 
@@ -301,54 +277,6 @@ class WritePathSimulator:
 
     # -- transient write -----------------------------------------------------------
 
-    def _transient_options_for(self, column: ColumnParasitics) -> TransientOptions:
-        """A safe window from the column's time constants (write flavour).
-
-        The flip itself is cell-internal and fast, but the far-end bit-line
-        node has to recover through the full ladder resistance, so the
-        window scales with the bit-line RC like the read window does.  The
-        stop condition ends the run at the flip, so generosity costs
-        nothing.
-        """
-        conditions = self.node.operating_conditions
-        pass_gate = self.node.sram_devices.pass_gate
-        drive_a = max(
-            pass_gate.on_current_a(conditions.vdd_v, self.node.sram_devices.pass_gate_fins),
-            1e-9,
-        )
-        total_c = column.bitline.total_capacitance_f
-        estimate_s = total_c * conditions.vdd_v / drive_a
-        rc_s = column.bitline.total_resistance_ohm * total_c
-        t_stop = 20.0 * (estimate_s + rc_s) + 100e-12
-        dt_max = max(min(t_stop / 200.0, 10e-12), 2e-13)
-        base = self._base_transient_options
-        if base is None:
-            return TransientOptions(
-                t_stop_s=t_stop,
-                dt_initial_s=min(1e-13, dt_max / 10.0),
-                dt_max_s=dt_max,
-                method=(
-                    self._transient_method
-                    if self._transient_method is not None
-                    else "backward-euler"
-                ),
-            )
-        dt_max_s = min(base.dt_max_s, dt_max)
-        dt_initial_s = min(base.dt_initial_s, dt_max_s)
-        dt_min_s = min(base.dt_min_s, dt_initial_s)
-        return TransientOptions(
-            t_stop_s=t_stop,
-            dt_initial_s=dt_initial_s,
-            dt_min_s=dt_min_s,
-            dt_max_s=dt_max_s,
-            dt_growth=base.dt_growth,
-            dt_shrink=base.dt_shrink,
-            method=base.method,
-            newton=base.newton,
-            max_steps=base.max_steps,
-            record_nodes=base.record_nodes,
-        )
-
     def prepare_simulate_column(
         self,
         n_cells: int,
@@ -358,7 +286,9 @@ class WritePathSimulator:
     ) -> PreparedWork:
         """One write measurement as prepared work (a single transient lane)."""
         write_circuit = self.build_circuit(n_cells, column, write_value)
-        options = self._transient_options_for(column)
+        options = transient_window(
+            self.node, column, self.node.operating_conditions.vdd_v, self._transient_method
+        )
         template_key = (write_circuit.segments, write_value)
         solver = TransientSolver(
             write_circuit.circuit,
@@ -415,27 +345,6 @@ class WritePathSimulator:
             )
 
         return PreparedWork(lanes=[lane], finish=finish)
-
-    def simulate_column(
-        self,
-        n_cells: int,
-        column: ColumnParasitics,
-        label: str,
-        write_value: int = 0,
-        return_waveforms: bool = False,
-    ):
-        """Run one write and measure the write delay.
-
-        Returns a :class:`WriteMeasurement`, or a ``(measurement, result)``
-        tuple when ``return_waveforms`` is true.
-        """
-        prepared = self.prepare_simulate_column(
-            n_cells, column, label, write_value=write_value
-        )
-        (lane,) = prepared.lanes
-        result = run_lane_scalar(lane)
-        measurement = prepared.finish([result])
-        return (measurement, result) if return_waveforms else measurement
 
     # -- DC write margin -----------------------------------------------------------
 
@@ -553,108 +462,13 @@ class WritePathSimulator:
         initial.update(cell.initial_conditions(vdd, stored))
         return circuit, initial
 
-    # -- public measurement entry points -------------------------------------------
-
-    def prepare_nominal(self, n_cells: int, write_value: int = 0) -> PreparedWork:
-        """Nominal write delay as prepared work; a memo hit carries zero lanes."""
-        key = (n_cells, write_value)
-        cached = self._nominal_measurement_cache.get(key)
-        if cached is not None:
-            return PreparedWork(lanes=[], finish=lambda _results: cached)
-        column = self.column_parasitics(n_cells)
-        prepared = self.prepare_simulate_column(
-            n_cells, column, label="nominal", write_value=write_value
-        )
-
-        def memoize(measurement: WriteMeasurement) -> WriteMeasurement:
-            self._nominal_measurement_cache[key] = measurement
-            return measurement
-
-        return prepared.mapped(memoize)
-
-    def measure_nominal(self, n_cells: int, write_value: int = 0) -> WriteMeasurement:
-        """Nominal write delay of an ``n_cells`` column (memoized)."""
-        return self.prepare_nominal(n_cells, write_value=write_value).run_scalar()
-
     def measure_nominal_margin(
         self, n_cells: int, write_value: int = 0
     ) -> WriteMarginMeasurement:
-        """Nominal DC write margin (memoized like the delay)."""
+        """Nominal DC write margin, memoized per ``(n_cells, write_value)``."""
         key = (n_cells, write_value)
         cached = self._nominal_margin_cache.get(key)
         if cached is None:
             cached = self.measure_margin(n_cells, write_value=write_value)
             self._nominal_margin_cache[key] = cached
         return cached
-
-    def prepare_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        label: Optional[str] = None,
-        write_value: int = 0,
-    ) -> PreparedWork:
-        """Printed-column write delay as prepared work."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.prepare_simulate_column(
-            n_cells,
-            column,
-            label=label if label is not None else option.name,
-            write_value=write_value,
-        )
-
-    def measure_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        label: Optional[str] = None,
-        write_value: int = 0,
-    ) -> WriteMeasurement:
-        """Write delay with the column printed by ``option`` at ``parameters``."""
-        return self.prepare_with_patterning(
-            n_cells, option, parameters, label=label, write_value=write_value
-        ).run_scalar()
-
-    def prepare_with_variation(
-        self,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        vss_rvar: float = 1.0,
-        label: str = "scaled",
-        write_value: int = 0,
-    ) -> PreparedWork:
-        """Write delay with the nominal column scaled by explicit RC ratios,
-        as prepared work (the batched promotion path)."""
-        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
-        return self.prepare_simulate_column(
-            n_cells, scaled, label=label, write_value=write_value
-        )
-
-    def measure_with_variation(
-        self,
-        n_cells: int,
-        rvar: float,
-        cvar: float,
-        vss_rvar: float = 1.0,
-        label: str = "scaled",
-        write_value: int = 0,
-    ) -> WriteMeasurement:
-        """Write delay with the nominal column scaled by explicit RC ratios."""
-        return self.prepare_with_variation(
-            n_cells, rvar, cvar, vss_rvar=vss_rvar, label=label, write_value=write_value
-        ).run_scalar()
-
-    def penalty_percent(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-    ) -> float:
-        """Simulated write-delay penalty (%) of one option/corner vs nominal."""
-        nominal = self.measure_nominal(n_cells)
-        varied = self.measure_with_patterning(n_cells, option, parameters)
-        return varied.penalty_percent_vs(nominal)

@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 Expensive objects (technology node, array layouts, extraction results,
-read-path simulator) are session scoped: they are immutable for the tests
-that use them, and sharing them keeps the full suite fast.
+the operation simulators) are session scoped: they are immutable for the
+tests that use them, and sharing them keeps the full suite fast.
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analytical import model_from_technology
+from repro.core.operations import OperationSimulators
 from repro.extraction.lpe import ParameterizedLPE
 from repro.layout.array import generate_array_layout
 from repro.layout.sram_cell import generate_cell_layout
 from repro.patterning import euv, le3, sadp
-from repro.sram.read_path import ReadPathSimulator
 from repro.technology.node import n10
 
 #: Worst-case corner parameter sets used across tests (Table I corners).
@@ -55,8 +55,14 @@ def nominal_extraction64(lpe, array64):
 
 
 @pytest.fixture(scope="session")
-def simulator(node):
-    return ReadPathSimulator(node)
+def sims(node):
+    """The read / write / margin simulators behind one geometry stack."""
+    return OperationSimulators(node)
+
+
+@pytest.fixture(scope="session")
+def simulator(sims):
+    return sims.read
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,7 @@ from repro.circuit.elements import Resistor, VoltageSource  # noqa: E402
 from repro.circuit.mosfet import MOSFET  # noqa: E402
 from repro.circuit.netlist import Circuit  # noqa: E402
 from repro.circuit.transient import TransientSolver  # noqa: E402
-from repro.core.operations import OperationSimulators  # noqa: E402
+from repro.core.operations import OperationSimulators, create_operation  # noqa: E402
 from repro.obs.metrics import registry  # noqa: E402
 from repro.technology import n10  # noqa: E402
 from repro.technology.transistors import (  # noqa: E402
@@ -297,10 +297,11 @@ def transient_lanes() -> List[TransientLaneSpec]:
     lanes: List[TransientLaneSpec] = []
     for method in ("backward-euler", "trapezoidal"):
         sims = _sims(method)
-        for value in (0, 1):
-            lanes.extend(sims.read.prepare_nominal(16, stored_value=value).lanes)
-        for value in (0, 1):
-            lanes.extend(sims.write.prepare_nominal(16, write_value=value).lanes)
+        for name in ("read", "write"):
+            for value in (0, 1):
+                lanes.extend(
+                    create_operation(name).prepare_nominal(sims, 16, value).lanes
+                )
     return lanes
 
 

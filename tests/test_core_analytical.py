@@ -10,6 +10,7 @@ from repro.core.analytical import (
     discharge_constant,
     model_from_technology,
 )
+from repro.core.operations import create_operation
 from repro.sram.precharge import precharge_capacitance_f
 
 
@@ -152,11 +153,11 @@ class TestModelFromTechnology:
         )
         assert analytical_model.cpre_fn(1024) > analytical_model.cpre_fn(64)
 
-    def test_formula_td_same_order_as_simulation(self, analytical_model, simulator):
+    def test_formula_td_same_order_as_simulation(self, analytical_model, sims):
         """Table II behaviour: same order of magnitude, same ordering in n."""
         for n in (16, 64):
             formula = analytical_model.td_nominal_s(n)
-            simulated = simulator.measure_nominal(n).td_s
+            simulated = create_operation("read").measure_nominal(sims, n).td_s
             assert 0.2 < simulated / formula < 5.0
         assert analytical_model.td_nominal_s(64) > analytical_model.td_nominal_s(16)
 

@@ -11,6 +11,7 @@ import pytest
 from repro import MultiPatterningSRAMStudy, n10
 from repro.circuit.spice_io import write_spice
 from repro.core import OptionComparison, model_from_technology
+from repro.core.operations import OperationSimulators, create_operation
 from repro.core.worst_case import WorstCaseStudy
 from repro.extraction import ParameterizedLPE
 from repro.layout import generate_array_layout, library_from_wires, loads_gdt, dumps_gdt
@@ -55,9 +56,10 @@ class TestFullPipeline:
         bl_net, _ = layout.central_pair_nets()
         assert distorted[bl_net].capacitance_total_f != nominal[bl_net].capacitance_total_f
 
-        simulator = ReadPathSimulator(node)
-        nominal_td = simulator.measure_nominal(16)
-        varied_td = simulator.measure_with_patterning(16, option, {"cd:A": 3.0, "ol:B": -8.0})
+        read = create_operation("read")
+        sims = OperationSimulators(node)
+        nominal_td = read.measure_nominal(sims, 16)
+        varied_td = read.measure_with_patterning(sims, 16, option, {"cd:A": 3.0, "ol:B": -8.0})
         assert varied_td.td_s != nominal_td.td_s
 
     def test_report_is_complete(self, report):

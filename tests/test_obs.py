@@ -296,12 +296,18 @@ class TestTracedCampaignParity:
             disable_tracing()
 
         assert not untraced.failures and not traced.failures
-        assert keyed(traced) == keyed(untraced)
+        traced_records, untraced_records = keyed(traced), keyed(untraced)
+        differing = sorted(
+            key
+            for key in traced_records.keys() | untraced_records.keys()
+            if traced_records.get(key) != untraced_records.get(key)
+        )
+        assert traced_records == untraced_records, differing
 
         records = read_trace(trace)
         assert any(r["name"] == "campaign.run" for r in records)
         attribution = campaign_attribution(records)
-        assert attribution["coverage_percent"] >= 95.0
+        assert attribution["coverage_percent"] >= 95.0, attribution
 
 
 # -- the report CLI verb -----------------------------------------------------------------

@@ -166,7 +166,7 @@ class TestResponseSurface:
         surface = calibrate_response_surface(
             create_operation("read"), op_simulators, 16
         )
-        nominal = op_simulators.read.measure_nominal(16)
+        nominal = create_operation("read").measure_nominal(op_simulators, 16)
         assert surface.base_value == pytest.approx(nominal.td_s, rel=RTOL)
         assert surface.d_cvar > 0.0        # more bit-line C -> slower read
 

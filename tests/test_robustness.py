@@ -7,6 +7,8 @@ poison a whole Monte-Carlo run.  These tests inject such failures on
 purpose and check the reported errors.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,13 +17,17 @@ from repro.circuit.dc import ConvergenceError
 from repro.circuit.elements import Capacitor, Resistor, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientOptions, TransientSolver
+from repro.core.operations import OperationSimulators, create_operation
 from repro.extraction.field import CrossSectionExtractor, ExtractionError
 from repro.layout.gds import dumps_gdt, library_from_wires, loads_gdt
 from repro.layout.geometry import Rect
 from repro.layout.wire import NetRole, Wire, WireError
 from repro.patterning import le3, sadp
 from repro.patterning.base import PatterningError
+from repro.sram import read_path
 from repro.sram.read_path import ReadPathSimulator, ReadSimulationError
+
+READ = create_operation("read")
 
 
 class TestPatterningFailureModes:
@@ -55,14 +61,16 @@ class TestPatterningFailureModes:
 
 
 class TestSimulationFailureModes:
-    def test_transient_step_limit_raises(self, node):
+    def test_transient_step_limit_raises(self, node, monkeypatch):
         """An absurdly small step budget must fail with a clear error."""
-        simulator = ReadPathSimulator(
-            node,
-            transient_options=TransientOptions(max_steps=5, dt_max_s=1e-15, dt_initial_s=1e-15),
-        )
+        derived = read_path.transient_window
+
+        def starved(*args):
+            return replace(derived(*args), max_steps=5, dt_max_s=1e-15, dt_initial_s=1e-15)
+
+        monkeypatch.setattr(read_path, "transient_window", starved)
         with pytest.raises(ConvergenceError):
-            simulator.measure_nominal(16)
+            READ.measure_nominal(OperationSimulators(node), 16)
 
     def test_transient_min_step_failure_raises(self):
         """A circuit that can never converge reports the failing time point."""
@@ -89,9 +97,8 @@ class TestSimulationFailureModes:
         impossible = node.with_operating_conditions(
             OperatingConditions(vdd_v=0.7, sense_amp_sensitivity_v=0.07, wordline_voltage_v=0.05)
         )
-        simulator = ReadPathSimulator(impossible)
         with pytest.raises(ReadSimulationError) as excinfo:
-            simulator.measure_nominal(16)
+            READ.measure_nominal(OperationSimulators(impossible), 16)
         assert "sense threshold" in str(excinfo.value)
         # The original node is untouched by the experiment.
         assert conditions.sense_amp_sensitivity_v == pytest.approx(0.07)

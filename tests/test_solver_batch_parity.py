@@ -43,7 +43,7 @@ from repro.circuit.mna import reset_solver_stats, solver_stats
 from repro.circuit.mosfet import MOSFET
 from repro.circuit.netlist import Circuit
 from repro.core.campaign import SimulationCampaign, scenario_grid
-from repro.core.operations import OperationSimulators
+from repro.core.operations import OperationSimulators, create_operation
 from repro.core.study import StudyDOE
 from repro.technology import n10
 from repro.technology.transistors import default_n10_nmos, default_n10_pmos
@@ -202,8 +202,9 @@ class TestTransientLaneIsolation:
     def test_raising_stop_condition_fails_only_its_lane(self, node):
         def read_lanes():
             sims = OperationSimulators(node, n_bitline_pairs=4)
-            (first,) = sims.read.prepare_nominal(16, stored_value=0).lanes
-            (second,) = sims.read.prepare_nominal(16, stored_value=1).lanes
+            read = create_operation("read")
+            (first,) = read.prepare_nominal(sims, 16, stored_value=0).lanes
+            (second,) = read.prepare_nominal(sims, 16, stored_value=1).lanes
             return first, replace(
                 second, stop_condition=lambda _t, voltages: voltages["no-such-node"] > 0.0
             )
@@ -228,18 +229,14 @@ class TestPreparedMeasurementParity:
         batched_sims = OperationSimulators(node, n_bitline_pairs=4)
 
         def prepare(sims):
-            if operation == "read":
+            if operation in ("read", "write"):
                 return [
-                    sims.read.prepare_nominal(16, stored_value=sv) for sv in (0, 1)
+                    create_operation(operation).prepare_nominal(sims, 16, stored_value=v)
+                    for v in (0, 1)
                 ]
-            if operation == "write":
-                return [
-                    sims.write.prepare_nominal(16, write_value=wv) for wv in (0, 1)
-                ]
+            # The margin analyzer's own measurement, so both lobes are compared.
             mode = "hold" if operation == "hold_snm" else "read"
-            return [
-                sims.margins.prepare_nominal(n, mode=mode) for n in (16, 64)
-            ]
+            return [sims.margins.prepare_measure(n, mode=mode) for n in (16, 64)]
 
         scalar_results = [work.run_scalar() for work in prepare(scalar_sims)]
         batched_results = solve_prepared(prepare(batched_sims))
@@ -250,10 +247,11 @@ class TestPreparedMeasurementParity:
 
     def test_memo_hit_prepares_zero_lanes(self, node):
         sims = OperationSimulators(node, n_bitline_pairs=4)
-        first = sims.read.prepare_nominal(16, stored_value=0)
+        read = create_operation("read")
+        first = read.prepare_nominal(sims, 16, stored_value=0)
         assert first.lanes
         measurement = first.run_scalar()
-        hit = sims.read.prepare_nominal(16, stored_value=0)
+        hit = read.prepare_nominal(sims, 16, stored_value=0)
         assert not hit.lanes
         (cached,) = solve_prepared([hit])
         assert cached == measurement

@@ -1,9 +1,13 @@
 """Tests of the butterfly-curve static-noise-margin analyzer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.operations import create_operation
 from repro.sram.margins import (
+    MARGIN_MODES,
     ButterflyCurves,
     MarginAnalysisError,
     SRAMMarginAnalyzer,
@@ -12,10 +16,13 @@ from repro.sram.read_path import ReadPathSimulator
 
 from tests.conftest import SADP_WORST_CORNER
 
+HOLD_SNM = create_operation("hold_snm")
+READ_SNM = create_operation("read_snm")
+
 
 @pytest.fixture(scope="module")
-def analyzer(node):
-    return SRAMMarginAnalyzer(node)
+def analyzer(sims):
+    return sims.margins
 
 
 class TestButterfly:
@@ -45,25 +52,30 @@ class TestButterfly:
 
 
 class TestMeasurements:
-    def test_hold_snm_is_positive_and_bounded(self, analyzer, node):
-        measurement = analyzer.measure_hold_snm(64)
+    def test_hold_snm_is_positive_and_bounded(self, sims, node):
+        measurement = HOLD_SNM.measure_nominal(sims, 64)
         vdd = node.operating_conditions.vdd_v
-        assert 0.0 < measurement.snm_v < vdd / 2.0
-        assert measurement.mode == "hold"
+        assert 0.0 < measurement.value < vdd / 2.0
+        assert measurement.operation == "hold_snm"
+        assert measurement.unit == "V"
 
-    def test_read_snm_is_below_hold_snm(self, analyzer):
-        hold = analyzer.measure_hold_snm(64)
-        read = analyzer.measure_read_snm(64)
-        assert 0.0 < read.snm_v < hold.snm_v
+    def test_read_snm_is_below_hold_snm(self, sims):
+        hold = HOLD_SNM.measure_nominal(sims, 64)
+        read = READ_SNM.measure_nominal(sims, 64)
+        assert 0.0 < read.value < hold.value
 
     def test_nominal_lobes_are_nearly_symmetric(self, analyzer):
-        measurement = analyzer.measure_hold_snm(64)
+        measurement = analyzer.prepare_measure(64, mode="hold").run_scalar()
+        assert measurement.mode == "hold"
         assert measurement.lobe1_v == pytest.approx(measurement.lobe2_v, rel=0.05)
 
-    def test_nominal_measurements_memoized(self, analyzer):
-        assert analyzer.measure_hold_snm(64) is analyzer.measure_hold_snm(64)
+    def test_nominal_measurements_memoized(self, sims):
+        first = HOLD_SNM.measure_nominal(sims, 64)
+        assert HOLD_SNM.measure_nominal(sims, 64) is first
+        # A static margin has no stored value: every value hits one entry.
+        assert HOLD_SNM.measure_nominal(sims, 64, stored_value=1) is first
 
-    def test_hold_snm_degrades_monotonically_with_growing_variation(self, analyzer):
+    def test_hold_snm_degrades_monotonically_with_growing_variation(self, sims):
         """The acceptance pin: hold SNM must fall monotonically as the
         patterning-induced rail distortion grows.
 
@@ -72,26 +84,44 @@ class TestMeasurements:
         from there on the supply/ground droop compresses the lobes
         strictly, which is the regime this test pins.
         """
-        nominal = analyzer.measure_hold_snm(64)
+        nominal = HOLD_SNM.measure_nominal(sims, 64)
         degraded = [
-            analyzer.measure_with_variation(64, vss_rvar=scale, mode="hold").snm_v
+            HOLD_SNM.value_with_variation(sims, 64, 1.0, 1.0, rail_rvar=scale)
             for scale in (4.0, 8.0, 16.0)
         ]
         assert all(value > 0.0 for value in degraded)
-        assert all(value < nominal.snm_v for value in degraded)
+        assert all(value < nominal.value for value in degraded)
         assert degraded[0] > degraded[1] > degraded[2]
 
-    def test_patterning_corner_moves_the_margins(self, analyzer, sadp_option):
-        nominal = analyzer.measure_read_snm(16)
-        varied = analyzer.measure_with_patterning(
-            16, sadp_option, SADP_WORST_CORNER, mode="read"
+    def test_patterning_corner_moves_the_margins(self, sims, sadp_option):
+        nominal = READ_SNM.measure_nominal(sims, 16)
+        varied = READ_SNM.measure_with_patterning(
+            sims, 16, sadp_option, SADP_WORST_CORNER
         )
-        assert varied.snm_v != nominal.snm_v
-        assert abs(varied.degradation_percent_vs(nominal)) < 20.0
+        assert varied.value != nominal.value
+        assert abs((1.0 - varied.value / nominal.value) * 100.0) < 20.0
 
     def test_invalid_mode_rejected(self, analyzer):
         with pytest.raises(MarginAnalysisError, match="mode"):
-            analyzer.measure_nominal(16, mode="standby")
+            analyzer.prepare_measure(16, mode="standby")
+
+
+class TestMirrorSymmetry:
+    """Swapping the two bit lines mirrors the cell: Q and QB trade roles,
+    so the butterfly's two lobes swap and the SNM is unchanged."""
+
+    @pytest.mark.parametrize("n_cells", (16, 256))
+    @pytest.mark.parametrize("mode", MARGIN_MODES)
+    def test_swapped_bitlines_swap_the_lobes(self, analyzer, mode, n_cells):
+        nominal = analyzer.column_parasitics(n_cells)
+        # A 20x bit-line resistance makes the column clearly asymmetric.
+        column = replace(nominal, bitline=nominal.bitline.scaled(20.0, 1.0))
+        mirror = replace(column, bitline=column.bitline_bar, bitline_bar=column.bitline)
+        original = analyzer.prepare_measure(n_cells, column, mode=mode).run_scalar()
+        mirrored = analyzer.prepare_measure(n_cells, mirror, mode=mode).run_scalar()
+        assert mirrored.lobe1_v == pytest.approx(original.lobe2_v, rel=1e-12)
+        assert mirrored.lobe2_v == pytest.approx(original.lobe1_v, rel=1e-12)
+        assert mirrored.snm_v == pytest.approx(original.snm_v, rel=1e-12)
 
 
 class TestGeometrySharing:
@@ -99,7 +129,7 @@ class TestGeometrySharing:
         donor = ReadPathSimulator(node)
         analyzer = SRAMMarginAnalyzer(node, geometry=donor)
         assert analyzer.geometry is donor
-        analyzer.measure_hold_snm(16)
+        analyzer.prepare_measure(16, mode="hold")
         assert 16 in donor._layout_cache
 
     def test_mismatched_donor_rejected(self, node):

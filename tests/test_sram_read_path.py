@@ -2,13 +2,30 @@
 
 import pytest
 
+from repro.circuit.batch import run_lane_scalar
 from repro.circuit.mosfet import MOSFET
-from repro.circuit.transient import TransientOptions
+from repro.core.operations import OperationSimulators, create_operation
 from repro.sram.array import ArrayCircuitError, ReadCircuitSpec, build_read_circuit
 from repro.sram.bitline import BitlineSpec
 from repro.sram.read_path import ReadMeasurement, ReadPathSimulator, ReadSimulationError
 from repro.technology.node import OperatingConditions
 from tests.conftest import EUV_WORST_CORNER, LE3_WORST_CORNER, SADP_WORST_CORNER
+
+READ = create_operation("read")
+
+
+def penalty_percent(sims, option, parameters, n_cells=16):
+    """Simulated tdp (%) of one option/corner versus the nominal column."""
+    nominal = READ.measure_nominal(sims, n_cells)
+    varied = READ.measure_with_patterning(sims, n_cells, option, parameters)
+    return (varied.value / nominal.value - 1.0) * 100.0
+
+
+def derived_options(simulator, n_cells=16):
+    """The transient options the simulator derives for the nominal column."""
+    column = simulator.column_parasitics(n_cells)
+    (lane,) = simulator.prepare_simulate_column(n_cells, column, "probe").lanes
+    return lane.solver.options
 
 
 def small_spec(node, n_cells=16):
@@ -91,38 +108,40 @@ class TestReadCircuitBuilder:
 
 
 class TestReadPathSimulator:
-    def test_nominal_td_positive_and_under_a_nanosecond(self, simulator):
-        measurement = simulator.measure_nominal(16)
+    def test_nominal_td_positive_and_under_a_nanosecond(self, sims):
+        measurement = READ.measure_nominal(sims, 16)
         assert 1e-12 < measurement.td_s < 1e-9
         assert measurement.stop_reason == "stop-condition"
 
-    def test_td_grows_with_array_size(self, simulator):
-        td16 = simulator.measure_nominal(16).td_s
-        td64 = simulator.measure_nominal(64).td_s
+    def test_td_grows_with_array_size(self, sims):
+        td16 = READ.measure_nominal(sims, 16).td_s
+        td64 = READ.measure_nominal(sims, 64).td_s
         assert td64 > 2.0 * td16
 
-    def test_nominal_td16_matches_paper_order_of_magnitude(self, simulator):
+    def test_nominal_td16_matches_paper_order_of_magnitude(self, sims):
         """Paper Table II: simulated td at 10x16 is 5.59 ps; ours must be single-digit ps."""
-        td_ps = simulator.measure_nominal(16).td_ps
+        td_ps = READ.measure_nominal(sims, 16).td_s * 1e12
         assert 2.0 < td_ps < 20.0
 
-    def test_le3_worst_corner_penalty_large(self, simulator, le3_option):
-        penalty = simulator.penalty_percent(16, le3_option, LE3_WORST_CORNER)
+    def test_le3_worst_corner_penalty_large(self, sims, le3_option):
+        penalty = penalty_percent(sims, le3_option, LE3_WORST_CORNER)
         assert penalty > 10.0
 
-    def test_sadp_and_euv_worst_corner_penalties_small(self, simulator, sadp_option, euv_option):
-        sadp_penalty = simulator.penalty_percent(16, sadp_option, SADP_WORST_CORNER)
-        euv_penalty = simulator.penalty_percent(16, euv_option, EUV_WORST_CORNER)
+    def test_sadp_and_euv_worst_corner_penalties_small(self, sims, sadp_option, euv_option):
+        sadp_penalty = penalty_percent(sims, sadp_option, SADP_WORST_CORNER)
+        euv_penalty = penalty_percent(sims, euv_option, EUV_WORST_CORNER)
         assert abs(sadp_penalty) < 10.0
         assert abs(euv_penalty) < 10.0
 
-    def test_scaled_variation_increases_td(self, simulator):
-        nominal = simulator.measure_nominal(16)
-        varied = simulator.measure_with_variation(16, rvar=1.0, cvar=1.5)
-        assert varied.td_s > nominal.td_s
+    def test_scaled_variation_increases_td(self, sims):
+        nominal = READ.measure_nominal(sims, 16)
+        varied = READ.value_with_variation(sims, 16, rvar=1.0, cvar=1.5)
+        assert varied > nominal.value
 
     def test_penalty_vs_nominal_round_trip(self, simulator):
-        nominal = simulator.measure_nominal(16)
+        column = simulator.column_parasitics(16)
+        nominal = simulator.prepare_simulate_column(16, column, "nominal").run_scalar()
+        assert isinstance(nominal, ReadMeasurement)
         assert nominal.penalty_vs(nominal) == pytest.approx(1.0)
         assert nominal.penalty_percent_vs(nominal) == pytest.approx(0.0)
 
@@ -134,10 +153,10 @@ class TestReadPathSimulator:
 
     def test_waveforms_returned_when_requested(self, simulator):
         column = simulator.column_parasitics(16)
-        measurement, result = simulator.simulate_column(
-            16, column, label="probe", return_waveforms=True
-        )
-        assert isinstance(measurement, ReadMeasurement)
+        prepared = simulator.prepare_simulate_column(16, column, label="probe")
+        (lane,) = prepared.lanes
+        result = run_lane_scalar(lane)
+        assert isinstance(prepared.finish([result]), ReadMeasurement)
         bl_wave = result.voltage(simulator.build_circuit(16, column).sense.bitline_node)
         assert bl_wave[0] == pytest.approx(0.7)
         assert bl_wave[-1] < 0.7
@@ -145,9 +164,8 @@ class TestReadPathSimulator:
     def test_bitline_discharges_while_complement_holds(self, simulator):
         column = simulator.column_parasitics(16)
         circuit = simulator.build_circuit(16, column)
-        _measurement, result = simulator.simulate_column(
-            16, column, label="probe", return_waveforms=True
-        )
+        (lane,) = simulator.prepare_simulate_column(16, column, label="probe").lanes
+        result = run_lane_scalar(lane)
         bl_final = result.final_voltage(circuit.sense.bitline_node)
         blb_final = result.final_voltage(circuit.sense.bitline_bar_node)
         assert bl_final < 0.68
@@ -159,48 +177,26 @@ class TestReadPathSimulator:
         assert first is second
         assert simulator.nominal_extraction(16) is simulator.nominal_extraction(16)
 
-    def test_penalty_sign_matches_capacitance_change(self, simulator, euv_option):
+    def test_penalty_sign_matches_capacitance_change(self, sims, euv_option):
         """A pure capacitance increase must slow the read down."""
-        nominal = simulator.measure_nominal(16)
-        slower = simulator.measure_with_variation(16, rvar=1.0, cvar=1.2)
-        faster = simulator.measure_with_variation(16, rvar=0.8, cvar=1.0)
-        assert slower.td_s > nominal.td_s
-        assert faster.td_s < nominal.td_s
+        nominal = READ.measure_nominal(sims, 16)
+        slower = READ.value_with_variation(sims, 16, rvar=1.0, cvar=1.2)
+        faster = READ.value_with_variation(sims, 16, rvar=0.8, cvar=1.0)
+        assert slower > nominal.value
+        assert faster < nominal.value
 
 
 class TestTransientOptionOverrides:
-    """Regression: user-supplied transient options used to produce invalid
-    derived options (ValueError) when the size-derived dt cap undercut the
-    override's dt_initial/dt_min on small arrays."""
-
-    def test_large_dt_overrides_are_clamped_not_rejected(self, node):
-        simulator = ReadPathSimulator(
-            node,
-            transient_options=TransientOptions(
-                t_stop_s=1e-9, dt_initial_s=5e-12, dt_min_s=1e-12, dt_max_s=50e-12
-            ),
-        )
-        measurement = simulator.measure_nominal(16)
-        assert measurement.stop_reason == "stop-condition"
-        assert measurement.td_s > 0.0
-
-    def test_derived_options_satisfy_step_ordering(self, node):
-        simulator = ReadPathSimulator(
-            node,
-            transient_options=TransientOptions(
-                t_stop_s=1e-9, dt_initial_s=5e-12, dt_min_s=1e-12, dt_max_s=50e-12
-            ),
-        )
-        column = simulator.column_parasitics(16)
-        options = simulator._transient_options_for(column)
-        assert 0.0 < options.dt_min_s <= options.dt_initial_s <= options.dt_max_s
+    """The transient window is derived from the column; the method knob
+    overrides only the integrator."""
 
     def test_transient_method_changes_only_the_integrator(self, node):
         """The method knob must not perturb the derived step-size policy."""
-        be = ReadPathSimulator(node)
-        trap = ReadPathSimulator(node, transient_method="trapezoidal")
-        be_options = be._transient_options_for(be.column_parasitics(16))
-        trap_options = trap._transient_options_for(trap.column_parasitics(16))
+        be_options = derived_options(ReadPathSimulator(node))
+        trap_options = derived_options(
+            ReadPathSimulator(node, transient_method="trapezoidal")
+        )
+        assert 0.0 < be_options.dt_min_s <= be_options.dt_initial_s <= be_options.dt_max_s
         assert be_options.method == "backward-euler"
         assert trap_options.method == "trapezoidal"
         assert trap_options.t_stop_s == be_options.t_stop_s
@@ -212,24 +208,13 @@ class TestTransientOptionOverrides:
         with pytest.raises(ReadSimulationError):
             ReadPathSimulator(node, transient_method="gear2")
 
-    def test_override_matches_default_when_not_binding(self, node):
-        """Overrides looser than the derived caps change nothing."""
-        default = ReadPathSimulator(node).measure_nominal(16)
-        overridden = ReadPathSimulator(
-            node,
-            transient_options=TransientOptions(
-                dt_initial_s=1e-13, dt_min_s=1e-16, dt_max_s=1e-12
-            ),
-        ).measure_nominal(16)
-        assert overridden.td_s == pytest.approx(default.td_s, rel=0.05)
-
 
 class TestMeasurementCaches:
     def test_nominal_measurement_memoized(self, node):
-        simulator = ReadPathSimulator(node)
-        first = simulator.measure_nominal(16)
-        assert simulator.measure_nominal(16) is first
-        assert simulator.measure_nominal(16, stored_value=1) is not first
+        sims = OperationSimulators(node)
+        first = READ.measure_nominal(sims, 16)
+        assert READ.measure_nominal(sims, 16) is first
+        assert READ.measure_nominal(sims, 16, stored_value=1) is not first
 
     def test_printed_extraction_memoized(self, node, euv_option):
         simulator = ReadPathSimulator(node)
@@ -239,7 +224,7 @@ class TestMeasurementCaches:
         assert other is not first
 
     def test_penalty_percent_reuses_nominal(self, node, euv_option, monkeypatch):
-        simulator = ReadPathSimulator(node)
+        sims = OperationSimulators(node)
         calls = {"count": 0}
         true_prepare = ReadPathSimulator.prepare_simulate_column
 
@@ -250,35 +235,27 @@ class TestMeasurementCaches:
         monkeypatch.setattr(
             ReadPathSimulator, "prepare_simulate_column", counting_prepare
         )
-        simulator.penalty_percent(16, euv_option, EUV_WORST_CORNER)
+        penalty_percent(sims, euv_option, EUV_WORST_CORNER)
         assert calls["count"] == 2                  # nominal + corner
-        simulator.penalty_percent(16, euv_option, {"cd:euv": -3.0})
+        penalty_percent(sims, euv_option, {"cd:euv": -3.0})
         assert calls["count"] == 3                  # nominal came from the memo
 
-    def test_invalidate_caches_drops_memos(self, node):
-        simulator = ReadPathSimulator(node)
-        first = simulator.measure_nominal(16)
-        simulator.invalidate_caches()
-        second = simulator.measure_nominal(16)
-        assert second is not first
-        assert second.td_s == first.td_s            # same physics, fresh compute
-
     def test_jacobian_structure_shared_across_corners(self, node, euv_option):
-        simulator = ReadPathSimulator(node)
-        simulator.measure_nominal(16)
-        template = simulator._jacobian_template_cache[(16, 0)]
-        simulator.measure_with_patterning(16, euv_option, EUV_WORST_CORNER)
-        assert simulator._jacobian_template_cache[(16, 0)] is template
+        sims = OperationSimulators(node)
+        READ.measure_nominal(sims, 16)
+        template = sims.read._jacobian_template_cache[(16, 0)]
+        READ.measure_with_patterning(sims, 16, euv_option, EUV_WORST_CORNER)
+        assert sims.read._jacobian_template_cache[(16, 0)] is template
 
     def test_cache_adoption_shares_geometry_not_measurements(self, node):
-        donor = ReadPathSimulator(node)
-        donor.measure_nominal(16)
-        variant = ReadPathSimulator(node, vss_strap_interval_cells=8)
+        donor = OperationSimulators(node)
+        READ.measure_nominal(donor, 16)
+        variant = OperationSimulators(node, vss_strap_interval_cells=8)
         variant.adopt_shared_caches(donor)
-        assert variant.layout_for(16) is donor.layout_for(16)
-        assert variant.nominal_extraction(16) is donor.nominal_extraction(16)
-        measurement = variant.measure_nominal(16)
-        assert measurement is not donor.measure_nominal(16)
+        assert variant.read.layout_for(16) is donor.read.layout_for(16)
+        assert variant.read.nominal_extraction(16) is donor.read.nominal_extraction(16)
+        measurement = READ.measure_nominal(variant, 16)
+        assert measurement is not READ.measure_nominal(donor, 16)
 
     def test_cache_adoption_rejects_mismatched_geometry(self, node):
         donor = ReadPathSimulator(node, n_bitline_pairs=10)

@@ -2,47 +2,52 @@
 
 import pytest
 
+from repro.core.operations import create_operation
 from repro.sram.read_path import ColumnParasitics, ReadPathSimulator
-from repro.sram.write_path import WritePathSimulator, WriteSimulationError
+from repro.sram.write_path import WriteMeasurement, WritePathSimulator, WriteSimulationError
 
 from tests.conftest import LE3_WORST_CORNER
 
+WRITE = create_operation("write")
+
 
 @pytest.fixture(scope="module")
-def write_sim(node):
-    return WritePathSimulator(node)
+def write_sim(sims):
+    return sims.write
 
 
 class TestWriteDelay:
     def test_nominal_write_flips_and_measures(self, write_sim):
-        measurement = write_sim.measure_nominal(16)
+        column = write_sim.column_parasitics(16)
+        measurement = write_sim.prepare_simulate_column(16, column, "nominal").run_scalar()
+        assert isinstance(measurement, WriteMeasurement)
         assert measurement.write_delay_s > 0.0
         assert measurement.stop_reason == "stop-condition"
         assert measurement.flip_time_s > measurement.wordline_time_s
         assert measurement.label == "nominal"
 
-    def test_write_value_one_is_the_mirror_case(self, write_sim):
-        zero = write_sim.measure_nominal(16, write_value=0)
-        one = write_sim.measure_nominal(16, write_value=1)
-        assert one.write_delay_s > 0.0
+    def test_write_value_one_is_the_mirror_case(self, sims):
+        zero = WRITE.measure_nominal(sims, 16, stored_value=0)
+        one = WRITE.measure_nominal(sims, 16, stored_value=1)
+        assert one.value > 0.0
         # The cell and drivers are symmetric; only the (slightly asymmetric)
         # extracted bit-line pair distinguishes the two polarities.
-        assert one.write_delay_s == pytest.approx(zero.write_delay_s, rel=0.2)
+        assert one.value == pytest.approx(zero.value, rel=0.2)
 
-    def test_nominal_measurement_is_memoized(self, write_sim):
-        assert write_sim.measure_nominal(16) is write_sim.measure_nominal(16)
+    def test_nominal_measurement_is_memoized(self, sims):
+        assert WRITE.measure_nominal(sims, 16) is WRITE.measure_nominal(sims, 16)
 
-    def test_bitline_resistance_slows_the_write(self, write_sim):
-        nominal = write_sim.measure_nominal(64)
-        slowed = write_sim.measure_with_variation(64, rvar=2.0, cvar=1.0)
-        assert slowed.write_delay_s > nominal.write_delay_s
+    def test_bitline_resistance_slows_the_write(self, sims):
+        nominal = WRITE.measure_nominal(sims, 64)
+        slowed = WRITE.value_with_variation(sims, 64, rvar=2.0, cvar=1.0)
+        assert slowed > nominal.value
 
-    def test_patterning_corner_changes_the_delay(self, write_sim, le3_option):
-        nominal = write_sim.measure_nominal(16)
-        varied = write_sim.measure_with_patterning(16, le3_option, LE3_WORST_CORNER)
+    def test_patterning_corner_changes_the_delay(self, sims, le3_option):
+        nominal = WRITE.measure_nominal(sims, 16)
+        varied = WRITE.measure_with_patterning(sims, 16, le3_option, LE3_WORST_CORNER)
         assert varied.label == le3_option.name
-        assert varied.write_delay_s != nominal.write_delay_s
-        assert abs(varied.penalty_percent_vs(nominal)) < 50.0
+        assert varied.value != nominal.value
+        assert abs((varied.value / nominal.value - 1.0) * 100.0) < 50.0
 
     def test_invalid_write_value_rejected(self, write_sim):
         with pytest.raises(WriteSimulationError, match="write_value"):
@@ -93,16 +98,10 @@ class TestGeometrySharing:
         donor.nominal_extraction(16)
         # The write simulator sees the donor's extraction cache directly.
         assert 16 in donor._nominal_extraction_cache
-        write_sim.measure_nominal(16)
+        write_sim.column_parasitics(16)
         assert 16 in donor._layout_cache
 
     def test_mismatched_geometry_rejected(self, node):
         donor = ReadPathSimulator(node, n_bitline_pairs=4)
         with pytest.raises(WriteSimulationError, match="geometry donor"):
             WritePathSimulator(node, geometry=donor)
-
-    def test_invalidate_caches_drops_the_memos(self, node):
-        write_sim = WritePathSimulator(node)
-        first = write_sim.measure_nominal(16)
-        write_sim.invalidate_caches()
-        assert write_sim.measure_nominal(16) is not first
