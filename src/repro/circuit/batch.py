@@ -39,10 +39,10 @@ solution-buffer gather, one kernel call, one ``bincount`` that yields the
 residuals and the Jacobian scatters together, and one stacked dense
 solve.  A lane that finishes its analysis is compacted out at the end of
 the tick.  Robustness state stays per lane: damping and step limiting
-are per-slot arrays, and the gmin variants a rescue needs are cheap
-:meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` clones.  Lanes
-above the dense-solver size threshold (and lanes under an active rescue
-escalation) take the one-lane driver, counted in
+are per-slot arrays, and the gmin variants a rescue needs bind the lane's
+:class:`~repro.circuit.mna.TopologyRecord` to the same element values at
+another gmin.  Lanes above the dense-solver size threshold (and lanes
+under an active rescue escalation) take the one-lane driver, counted in
 ``SolverStats.scalar_fallbacks``.
 
 Transient lanes: the adaptive step controller makes time points
@@ -52,7 +52,10 @@ call, one residual scatter and one stamp selection over tables
 concatenated once per set of live lanes — and keeps the linear solves on
 each lane's own :class:`~repro.circuit.mna.CachedFactorSolver` (sparse
 ``splu``).  Heterogeneous topologies batch fine because only the
-element-wise kernel and the disjoint per-lane scatters are shared.
+element-wise kernel and the disjoint per-lane scatters are shared; lanes
+bound to one record (the corners of one read or write column) share its
+batch plan, Jacobian structure and index arrays, and differ only in
+their value arrays.
 Stacking small transient lanes into dense solves like the DC group was
 ruled out: a dense LAPACK LU pivots and sums in a different order from
 SuperLU's COLAMD-ordered LU, so the records would move.
@@ -135,8 +138,9 @@ class OperatingPointLaneSpec:
 class TransientLaneSpec:
     """One :meth:`TransientSolver.run` call, as batch input.
 
-    The solver is constructed by the caller (it owns the Jacobian-template
-    donation policy); the batch driver only orchestrates its time loop.
+    The solver is constructed by the caller (it chooses the assembler: a
+    circuit's own, or a bound topology record); the batch driver only
+    orchestrates its time loop.
     """
 
     solver: TransientSolver

@@ -244,12 +244,13 @@ def _source_vector_with_overrides(
 
 
 class _AssemblerCache:
-    """Per-circuit cache of gmin variants of one base assembler.
+    """Per-circuit cache of gmin variants of one base binding.
 
-    The rescue ladders revisit a handful of gmin values; each variant is
-    a :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` of the base
-    (bitwise identical to, and ~15x cheaper than, a fresh construction),
-    built once and memoised together with its dense backend.
+    The rescue ladders revisit a handful of gmin values; each variant
+    binds the base's :class:`~repro.circuit.mna.TopologyRecord` to the
+    base's element values at another gmin (the record's structure is
+    shared, only ``G``'s triplet values are recomputed), built once and
+    memoised together with its dense backend.
     """
 
     def __init__(self, base: MNAAssembler) -> None:
@@ -259,7 +260,8 @@ class _AssemblerCache:
     def get(self, gmin_s: float) -> MNAAssembler:
         variant = self._variants.get(gmin_s)
         if variant is None:
-            variant = self.base.clone_with_gmin(gmin_s)
+            base = self.base
+            variant = base.record.bind(base.resistances, base.capacitances, gmin_s)
             self._variants[gmin_s] = variant
         return variant
 

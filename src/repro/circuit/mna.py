@@ -1,31 +1,50 @@
-"""Modified nodal analysis (MNA) assembly.
+"""Modified nodal analysis (MNA): topology records bound to element values.
 
-The assembler maps a :class:`~repro.circuit.netlist.Circuit` onto the MNA
-unknown vector ``x = [node voltages, voltage-source branch currents]`` and
-produces:
+The unknown vector is ``x = [node voltages, voltage-source branch
+currents]``.  Assembly comes in two halves:
 
-* ``G`` — the constant conductance matrix (resistors, gmin, voltage-source
-  incidence rows/columns);
-* ``C`` — the constant capacitance matrix;
-* ``b(t)`` — the source vector at a given time;
-* per-Newton-iteration stamps of the nonlinear devices (MOSFETs), i.e. the
-  Jacobian contributions and the residual currents.
+* a :class:`TopologyRecord`, built once per circuit structure, holds
+  everything that does not depend on element values — the node order and
+  index, the element lists (names, waveforms, devices), the ``G`` and
+  ``C`` triplet rows/cols with each entry's source element and ±1 sign,
+  the gmin and voltage-source tails, the device :class:`BatchPlan` and the
+  Jacobian CSC structure (:class:`MatrixStructure`);
+* an :class:`MNAAssembler` is a record bound to one set of resistances,
+  capacitances and gmin.  The binding computes the triplet values as
+  arrays in the per-element emission order and runs scipy's COO→CSR
+  conversion on them, so scipy sums duplicates over the same operands in
+  the same order and every matrix equals a per-element build bit for bit.
 
-Sparse matrices (scipy) are used throughout so that kilobit bit-line
-ladders with thousands of nodes stay fast.
+``MNAAssembler(circuit)`` is the record of ``circuit`` bound to its own
+values; the DC rescue ladder's gmin variants and the read and write
+columns solved at other corners (:meth:`TopologyRecord.bind`) take the
+same path and share one record.  A bound assembler produces ``G``
+(resistors, gmin, voltage-source incidence), ``C``, the source vector
+``b(t)`` and the per-Newton-iteration MOSFET stamps; its products ``G·x``
+and ``C·x`` are summed from the stored entries in scipy's matvec order
+(:func:`_entry_dot`), and :class:`CachedFactorSolver` factors
+``G + c_factor·C + J_nl`` on the record's fixed Jacobian structure.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .elements import Capacitor, CurrentSource, Resistor, VoltageSource
+from .elements import (
+    Capacitor,
+    CurrentSource,
+    ElementError,
+    Resistor,
+    TwoTerminal,
+    VoltageSource,
+)
 from .mosfet import MOSFET, DeviceParams
 from .netlist import Circuit, NetlistError, is_ground
 
@@ -124,9 +143,9 @@ def reset_solver_stats() -> SolverStats:
 class NonlinearStamp:
     """Jacobian triplets and residual currents of the nonlinear devices."""
 
-    rows: List[int]
-    cols: List[int]
-    values: List[float]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     residual: np.ndarray
 
 
@@ -134,9 +153,9 @@ class NonlinearStamp:
 class BatchPlan:
     """Precomputed gather/scatter indices for vectorised stamp evaluation.
 
-    Built once per assembler; lets the batched tier evaluate every MOSFET
-    of every stacked lane in one kernel call and scatter the results with
-    ``numpy.bincount`` (whose sequential accumulation reproduces the
+    Built once per topology record; lets the batched tier evaluate every
+    MOSFET of every stacked lane in one kernel call and scatter the results
+    with ``numpy.bincount`` (whose sequential accumulation reproduces the
     per-device add order of :meth:`MNAAssembler.nonlinear_stamp` bitwise).
 
     Terminal indices use ``size`` as the ground sentinel — voltages are
@@ -154,8 +173,9 @@ class BatchPlan:
     res_pos: np.ndarray
     res_dev: np.ndarray
     res_sign: np.ndarray
-    #: Jacobian stamp scatter in :meth:`_device_stamp_pairs` emission
-    #: order.  The six per-device values ``(gds, gm, -(gds+gm), -gds, -gm,
+    #: Jacobian stamp scatter, per device in the emission order ``(d, d),
+    #: (d, g), (d, s), (s, d), (s, g), (s, s)`` with ground entries
+    #: skipped.  The six per-device values ``(gds, gm, -(gds+gm), -gds, -gm,
     #: gds+gm)`` decompose into a pick among ``(gds, gm, gds+gm)`` and a
     #: ±1.0 sign: ``np.choose(stamp_pick, (gds, gm, gds + gm)) * stamp_sign``
     #: equals the scalar stamp values bit for bit (choose only selects and
@@ -180,17 +200,17 @@ class DenseSystem:
     residual term ``G·x`` with plain dense ops — the exact operations the
     batched tier applies per lane, which keeps the two tiers bit-identical.
 
-    ``G`` is scattered straight from the assembler's triplet arrays with
+    ``G`` is scattered straight from the binding's triplet arrays with
     ``np.add.at`` (bitwise identical to ``csr.toarray()`` — scipy's
-    duplicate summation is insertion-ordered via a stable sort), so cheap
-    gmin-ladder clones never have to materialise a sparse matrix at all.
+    duplicate summation is insertion-ordered via a stable sort), so the
+    gmin variants of a rescue ladder never materialise a sparse matrix.
     """
 
     def __init__(self, assembler: "MNAAssembler") -> None:
         self.size = assembler.size
         rows, cols, values = assembler._g_triplets
         self.g_dense = np.zeros((self.size, self.size))
-        np.add.at(self.g_dense, (np.asarray(rows), np.asarray(cols)), values)
+        np.add.at(self.g_dense, (rows, cols), values)
         self._stamp_flat = assembler.batch_plan().stamp_flat
 
     def matrix(self, stamp_values: np.ndarray) -> np.ndarray:
@@ -210,25 +230,78 @@ class DenseSystem:
         return np.linalg.solve(self.matrix(stamp_values), rhs)
 
 
-class MNAAssembler:
-    """Maps a circuit onto MNA matrices.
+def _entry_dot(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, x: np.ndarray, size: int
+) -> np.ndarray:
+    """``A·x`` from ``A``'s stored entries in storage order.
 
-    Parameters
-    ----------
-    circuit:
-        The circuit to assemble; it is validated on construction.
-    gmin_s:
-        Conductance added from every node to ground.
+    ``np.bincount`` adds each row's products one by one, from 0.0, in
+    entry order — over CSR or CSC order, the order in which scipy's matvec
+    loops accumulate a row — so this equals ``A.dot(x)`` bit for bit.
+    """
+    return np.bincount(rows, weights=data * x[cols], minlength=size).astype(
+        float, copy=False
+    )
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row (CSR) or column (CSC) of every stored entry."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+class MatrixStructure:
+    """The sparse structures every binding of one record shares.
+
+    Derived from the first binding's canonical CSR ``G`` and ``C`` (once
+    per record and per presence of the gmin tail): the (row, col) of every
+    stored ``G`` and ``C`` entry, and the Jacobian CSC structure — the
+    union of the ``G``, ``C`` and device-stamp positions, column-major with
+    sorted rows — with each of those entries' position in it.
     """
 
-    def __init__(self, circuit: Circuit, gmin_s: float = DEFAULT_GMIN_S) -> None:
-        circuit.validate()
-        self.circuit = circuit
-        self.gmin_s = gmin_s
+    def __init__(
+        self,
+        record: "TopologyRecord",
+        g_matrix: sparse.csr_matrix,
+        c_matrix: sparse.csr_matrix,
+    ) -> None:
+        size = record.size
+        plan = record.batch_plan()
+        self.g_rows, self.g_cols = _entry_rows(g_matrix.indptr), g_matrix.indices
+        self.c_rows, self.c_cols = _entry_rows(c_matrix.indptr), c_matrix.indices
+        rows = np.concatenate([self.g_rows, self.c_rows, plan.stamp_rows])
+        cols = np.concatenate([self.g_cols, self.c_cols, plan.stamp_cols])
+        keys = cols.astype(np.int64) * size + rows.astype(np.int64)
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        self.indices = (unique_keys % size).astype(np.int32)
+        self.indptr = np.searchsorted(
+            unique_keys // size, np.arange(size + 1)
+        ).astype(np.int32)
+        self.nnz = int(unique_keys.size)
+        self.jacobian_cols = _entry_rows(self.indptr)
+        n_g, n_c = self.g_rows.size, self.c_rows.size
+        self.g_positions = inverse[:n_g]
+        self.c_positions = inverse[n_g : n_g + n_c]
+        self.nl_positions = inverse[n_g + n_c :]
 
-        self._node_names: List[str] = circuit.nodes()
-        self._node_index: Dict[str, int] = {
-            name: index for index, name in enumerate(self._node_names)
+
+class TopologyRecord:
+    """The value-independent half of one circuit's MNA system.
+
+    Built once per circuit structure: netlist validation, node order and
+    index, element lists, the element values of the circuit, the ``G`` and
+    ``C`` triplet rows/cols with each entry's source element and ±1 sign,
+    the gmin and voltage-source tails, the :class:`BatchPlan` and (from
+    the first binding) the :class:`MatrixStructure`.  :meth:`bind` pairs
+    it with element values.  A zero capacitor stamps nothing, so which
+    capacitors are zero is part of the structure.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        circuit.validate()
+        self.node_names: List[str] = circuit.nodes()
+        self.node_index: Dict[str, int] = {
+            name: index for index, name in enumerate(self.node_names)
         }
         self.voltage_sources: List[VoltageSource] = list(
             circuit.elements_of_type(VoltageSource)
@@ -239,209 +312,121 @@ class MNAAssembler:
         self.mosfets: List[MOSFET] = list(circuit.elements_of_type(MOSFET))
         self.resistors: List[Resistor] = list(circuit.elements_of_type(Resistor))
         self.capacitors: List[Capacitor] = list(circuit.elements_of_type(Capacitor))
-
-        self.n_nodes = len(self._node_names)
+        self.n_nodes = len(self.node_names)
         self.n_branches = len(self.voltage_sources)
         self.size = self.n_nodes + self.n_branches
+        #: The circuit's own element values (what ``MNAAssembler(circuit)``
+        #: binds), in element order.
+        self.resistances = np.array(
+            [r.resistance_ohm for r in self.resistors], dtype=float
+        )
+        self.capacitances = np.array(
+            [c.capacitance_f for c in self.capacitors], dtype=float
+        )
+        self._stamped = self.capacitances != 0.0
 
-        self._g_triplets = self._build_g_triplets()
-        self._c_triplets = self._build_c_triplets()
-        self._g_matrix: Optional[sparse.csr_matrix] = None
-        self._c_matrix: Optional[sparse.csr_matrix] = None
+        # G: resistor entries, the gmin tail (node diagonal, when gmin > 0),
+        # then the voltage-source incidence; C: the stamped capacitors.
+        r_rows, r_cols, self._g_source, self._g_sign = self._entries(
+            self.resistors, np.ones(len(self.resistors), dtype=bool)
+        )
+        vs_rows, vs_cols, vs_values = [], [], []
+        for branch, source in enumerate(self.voltage_sources, start=self.n_nodes):
+            for node, value in ((source.positive, 1.0), (source.negative, -1.0)):
+                index = self.index_of(node)
+                if index is not None:
+                    vs_rows.extend([index, branch])
+                    vs_cols.extend([branch, index])
+                    vs_values.extend([value, value])
+        self._vs_values = np.array(vs_values)
+        vs_rows = np.array(vs_rows, dtype=np.int64)
+        vs_cols = np.array(vs_cols, dtype=np.int64)
+        diagonal = np.arange(self.n_nodes)
+        self._g_index = {
+            False: (np.concatenate([r_rows, vs_rows]), np.concatenate([r_cols, vs_cols])),
+            True: (
+                np.concatenate([r_rows, diagonal, vs_rows]),
+                np.concatenate([r_cols, diagonal, vs_cols]),
+            ),
+        }
+        c_rows, c_cols, self._c_source, self._c_sign = self._entries(
+            self.capacitors, self._stamped
+        )
+        self._c_index = (c_rows, c_cols)
         self._batch_plan: Optional[BatchPlan] = None
-        self._dense_system: Optional[DenseSystem] = None
+        self._structures: Dict[bool, MatrixStructure] = {}
 
-    def clone_with_gmin(self, gmin_s: float) -> "MNAAssembler":
-        """A cheap same-circuit assembler that differs only in ``gmin_s``.
+    def _entries(
+        self, elements: Sequence[TwoTerminal], stamped: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        """Rows, cols, source element and ±1 sign of two-terminal stamps.
 
-        The gmin ladder and pseudo-transient rescue revisit the same circuit
-        at many gmin values; a full construction re-validates the netlist
-        and rebuilds every element list, which dominates rescue cost.  The
-        clone shares the immutable pieces (node order, element lists, ``C``
-        triplets, batch plan) and rebuilds only the ``G`` triplets, whose
-        values are the only thing gmin touches.  The resulting matrices are
-        bitwise identical to ``MNAAssembler(circuit, gmin_s)``.
+        Value ``v`` between ``p`` and ``n`` stamps ``(p, p, v)``,
+        ``(n, n, v)``, ``(p, n, −v)``, ``(n, p, −v)``, skipping ground.
         """
-        clone = object.__new__(MNAAssembler)
-        clone.circuit = self.circuit
-        clone.gmin_s = gmin_s
-        clone._node_names = self._node_names
-        clone._node_index = self._node_index
-        clone.voltage_sources = self.voltage_sources
-        clone.current_sources = self.current_sources
-        clone.mosfets = self.mosfets
-        clone.resistors = self.resistors
-        clone.capacitors = self.capacitors
-        clone.n_nodes = self.n_nodes
-        clone.n_branches = self.n_branches
-        clone.size = self.size
-        clone._g_triplets = clone._build_g_triplets()
-        clone._c_triplets = self._c_triplets
-        clone._g_matrix = None
-        clone._c_matrix = self._c_matrix
-        clone._batch_plan = self.batch_plan()
-        clone._dense_system = None
-        return clone
-
-    # -- index helpers -------------------------------------------------------------
-
-    @property
-    def node_names(self) -> List[str]:
-        return list(self._node_names)
+        entries = []
+        for k, element in enumerate(elements):
+            if stamped[k]:
+                p = self.index_of(element.positive)
+                n = self.index_of(element.negative)
+                pairs = ((p, p, 1.0), (n, n, 1.0), (p, n, -1.0), (n, p, -1.0))
+                for row, col, sign in pairs:
+                    if row is not None and col is not None:
+                        entries.append((row, col, k, sign))
+        rows, cols, source, sign = zip(*entries) if entries else ((), (), (), ())
+        return (
+            np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64),
+            np.array(source, dtype=np.int64),
+            np.array(sign, dtype=float),
+        )
 
     def index_of(self, node: str) -> Optional[int]:
         """MNA index of a node (``None`` for ground)."""
         if is_ground(node):
             return None
         try:
-            return self._node_index[node]
+            return self.node_index[node]
         except KeyError:
             raise MNAError(f"unknown node {node!r}") from None
 
-    def branch_index(self, source_name: str) -> int:
-        for offset, source in enumerate(self.voltage_sources):
-            if source.name == source_name:
-                return self.n_nodes + offset
-        raise MNAError(f"no voltage source named {source_name!r}")
+    def bind(
+        self,
+        resistances: Sequence[float],
+        capacitances: Sequence[float],
+        gmin_s: float = DEFAULT_GMIN_S,
+    ) -> "MNAAssembler":
+        """This record bound to element values (in element order).
 
-    # -- static matrices -------------------------------------------------------------
-
-    def _build_g_triplets(self) -> Tuple[List[int], List[int], List[float]]:
-        rows: List[int] = []
-        cols: List[int] = []
-        values: List[float] = []
-
-        def stamp(row: Optional[int], col: Optional[int], value: float) -> None:
-            if row is None or col is None:
-                return
-            rows.append(row)
-            cols.append(col)
-            values.append(value)
-
-        for resistor in self.resistors:
-            conductance = resistor.conductance_s
-            p = self.index_of(resistor.positive)
-            n = self.index_of(resistor.negative)
-            stamp(p, p, conductance)
-            stamp(n, n, conductance)
-            stamp(p, n, -conductance)
-            stamp(n, p, -conductance)
-
-        if self.gmin_s > 0.0:
-            for index in range(self.n_nodes):
-                rows.append(index)
-                cols.append(index)
-                values.append(self.gmin_s)
-
-        for offset, source in enumerate(self.voltage_sources):
-            branch = self.n_nodes + offset
-            p = self.index_of(source.positive)
-            n = self.index_of(source.negative)
-            if p is not None:
-                rows.extend([p, branch])
-                cols.extend([branch, p])
-                values.extend([1.0, 1.0])
-            if n is not None:
-                rows.extend([n, branch])
-                cols.extend([branch, n])
-                values.extend([-1.0, -1.0])
-
-        return rows, cols, values
-
-    def _build_c_triplets(self) -> Tuple[List[int], List[int], List[float]]:
-        rows: List[int] = []
-        cols: List[int] = []
-        values: List[float] = []
-        for capacitor in self.capacitors:
-            if capacitor.capacitance_f == 0.0:
-                continue
-            p = self.index_of(capacitor.positive)
-            n = self.index_of(capacitor.negative)
-            c = capacitor.capacitance_f
-            if p is not None:
-                rows.append(p)
-                cols.append(p)
-                values.append(c)
-            if n is not None:
-                rows.append(n)
-                cols.append(n)
-                values.append(c)
-            if p is not None and n is not None:
-                rows.extend([p, n])
-                cols.extend([n, p])
-                values.extend([-c, -c])
-        return rows, cols, values
-
-    @property
-    def conductance_matrix(self) -> sparse.csr_matrix:
-        if self._g_matrix is None:
-            rows, cols, values = self._g_triplets
-            self._g_matrix = sparse.csr_matrix(
-                (values, (rows, cols)), shape=(self.size, self.size)
-            )
-        return self._g_matrix
-
-    @property
-    def capacitance_matrix(self) -> sparse.csr_matrix:
-        if self._c_matrix is None:
-            rows, cols, values = self._c_triplets
-            self._c_matrix = sparse.csr_matrix(
-                (values, (rows, cols)), shape=(self.size, self.size)
-            )
-        return self._c_matrix
-
-    # -- sources -----------------------------------------------------------------------
-
-    def source_vector(self, time_s: float) -> np.ndarray:
-        """The right-hand-side source vector at ``time_s``."""
-        b = np.zeros(self.size)
-        for offset, source in enumerate(self.voltage_sources):
-            b[self.n_nodes + offset] = source.value_at(time_s)
-        for source in self.current_sources:
-            value = source.value_at(time_s)
-            p = self.index_of(source.positive)
-            n = self.index_of(source.negative)
-            if p is not None:
-                b[p] -= value
-            if n is not None:
-                b[n] += value
-        return b
-
-    # -- nonlinear stamps ------------------------------------------------------------------
-
-    @staticmethod
-    def _device_stamp_pairs(
-        d: Optional[int], g: Optional[int], s: Optional[int]
-    ) -> Tuple[Tuple[Optional[int], Optional[int]], ...]:
-        """The (row, col) emission order of one MOSFET's Jacobian stamp.
-
-        Single source of truth shared by :meth:`nonlinear_stamp` and
-        :meth:`nonlinear_positions` — the factorisation cache maps stamp
-        values to CSC positions by this order, so the two must never
-        diverge.
+        Raises :class:`MNAError` for values that would change the
+        structure — another element count, or a capacitor that is zero
+        here but not in the record (or the reverse) — and, as the element
+        constructors do, :class:`~repro.circuit.elements.ElementError` for
+        a non-positive resistance or a negative capacitance.
         """
-        return ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s))
-
-    def nonlinear_positions(self) -> Tuple[List[int], List[int]]:
-        """The fixed (row, col) sequence :meth:`nonlinear_stamp` emits.
-
-        The Jacobian contributions of the MOSFETs always land on the same
-        matrix positions in the same order — only the values change between
-        Newton iterations.  The factorisation cache exploits this to map
-        stamp values straight into a prebuilt CSC data array.
-        """
-        rows: List[int] = []
-        cols: List[int] = []
-        for device in self.mosfets:
-            d = self.index_of(device.drain)
-            g = self.index_of(device.gate)
-            s = self.index_of(device.source)
-            for row, col in self._device_stamp_pairs(d, g, s):
-                if row is None or col is None:
-                    continue
-                rows.append(row)
-                cols.append(col)
-        return rows, cols
+        resistances = np.asarray(resistances, dtype=float)
+        capacitances = np.asarray(capacitances, dtype=float)
+        if (resistances.shape, capacitances.shape) != (
+            self.resistances.shape,
+            self.capacitances.shape,
+        ):
+            raise MNAError(
+                f"the record has {self.resistances.size} resistors and "
+                f"{self.capacitances.size} capacitors, not "
+                f"{resistances.size} and {capacitances.size}"
+            )
+        if not np.all(resistances > 0.0) or np.any(capacitances < 0.0):
+            raise ElementError(
+                "resistances must be positive and capacitances non-negative"
+            )
+        if not np.array_equal(capacitances != 0.0, self._stamped):
+            raise MNAError(
+                "the capacitances would change the structure: "
+                "a zero capacitor stamps nothing"
+            )
+        assembler = MNAAssembler.__new__(MNAAssembler)
+        assembler._bind(self, resistances, capacitances, gmin_s)
+        return assembler
 
     def batch_plan(self) -> BatchPlan:
         """Precomputed device gather/scatter arrays (built once, cached)."""
@@ -452,7 +437,7 @@ class MNAAssembler:
         drain, gate, source = [], [], []
         res_pos, res_dev, res_sign = [], [], []
         stamp_rows, stamp_cols, stamp_kind, stamp_dev = [], [], [], []
-        # Stamp kind k of _device_stamp_pairs as (component, sign).
+        # Stamp kind k of the per-device emission order as (component, sign).
         kind_pick = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
         kind_sign = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
         for lane, device in enumerate(self.mosfets):
@@ -470,7 +455,8 @@ class MNAAssembler:
                 res_pos.append(s)
                 res_dev.append(lane)
                 res_sign.append(-1.0)
-            for kind, (row, col) in enumerate(self._device_stamp_pairs(d, g, s)):
+            pairs = ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s))
+            for kind, (row, col) in enumerate(pairs):
                 if row is None or col is None:
                     continue
                 stamp_rows.append(row)
@@ -497,8 +483,136 @@ class MNAAssembler:
         )
         return self._batch_plan
 
+
+class MNAAssembler:
+    """A topology record bound to one set of element values.
+
+    ``MNAAssembler(circuit, gmin_s)`` is the :class:`TopologyRecord` of
+    ``circuit`` bound to the circuit's own values.  A binding computes the
+    triplet values as arrays in the per-element emission order — a
+    resistor's entries are ``(1.0 / R)·(+1, +1, −1, −1)`` and the multiply
+    by ±1.0 is an exact negation — and scipy's COO→CSR conversion then
+    sums duplicates over the same operands in the same order, so every
+    matrix equals a per-element build bit for bit.  A gmin variant (the
+    DC rescue ladder) and another corner of one column
+    (:meth:`TopologyRecord.bind`) take the same path, :meth:`_bind`.
+
+    Parameters
+    ----------
+    circuit:
+        The circuit to assemble; it is validated on construction.
+    gmin_s:
+        Conductance added from every node to ground.
+    """
+
+    def __init__(self, circuit: Circuit, gmin_s: float = DEFAULT_GMIN_S) -> None:
+        record = TopologyRecord(circuit)
+        self._bind(record, record.resistances, record.capacitances, gmin_s)
+
+    def _bind(
+        self,
+        record: TopologyRecord,
+        resistances: np.ndarray,
+        capacitances: np.ndarray,
+        gmin_s: float,
+    ) -> None:
+        self.record = record
+        self.resistances = resistances
+        self.capacitances = capacitances
+        self.gmin_s = gmin_s
+        self.n_nodes = record.n_nodes
+        self.n_branches = record.n_branches
+        self.size = record.size
+        with_gmin = gmin_s > 0.0
+        g_values = [(1.0 / resistances)[record._g_source] * record._g_sign]
+        if with_gmin:
+            g_values.append(np.full(self.n_nodes, gmin_s, dtype=float))
+        g_values.append(record._vs_values)
+        self._g_triplets = (*record._g_index[with_gmin], np.concatenate(g_values))
+        self._c_triplets = (
+            *record._c_index,
+            capacitances[record._c_source] * record._c_sign,
+        )
+        self._dense_system: Optional[DenseSystem] = None
+
+    # -- index helpers -------------------------------------------------------------
+
+    @property
+    def node_names(self) -> List[str]:
+        return list(self.record.node_names)
+
+    def index_of(self, node: str) -> Optional[int]:
+        """MNA index of a node (``None`` for ground)."""
+        return self.record.index_of(node)
+
+    def branch_index(self, source_name: str) -> int:
+        for offset, source in enumerate(self.record.voltage_sources):
+            if source.name == source_name:
+                return self.n_nodes + offset
+        raise MNAError(f"no voltage source named {source_name!r}")
+
+    # -- static matrices -------------------------------------------------------------
+
+    @cached_property
+    def conductance_matrix(self) -> sparse.csr_matrix:
+        rows, cols, values = self._g_triplets
+        return sparse.csr_matrix((values, (rows, cols)), shape=(self.size, self.size))
+
+    @cached_property
+    def capacitance_matrix(self) -> sparse.csr_matrix:
+        rows, cols, values = self._c_triplets
+        return sparse.csr_matrix((values, (rows, cols)), shape=(self.size, self.size))
+
+    def structure(self) -> MatrixStructure:
+        """The sparse structures this binding shares with its record."""
+        with_gmin = self.gmin_s > 0.0
+        structure = self.record._structures.get(with_gmin)
+        if structure is None:
+            structure = MatrixStructure(
+                self.record, self.conductance_matrix, self.capacitance_matrix
+            )
+            self.record._structures[with_gmin] = structure
+        return structure
+
+    def g_dot(self, x: np.ndarray) -> np.ndarray:
+        """``G·x``, bitwise equal to ``conductance_matrix.dot(x)``."""
+        structure = self.structure()
+        return _entry_dot(
+            structure.g_rows, structure.g_cols, self.conductance_matrix.data, x, self.size
+        )
+
+    def c_dot(self, x: np.ndarray) -> np.ndarray:
+        """``C·x``, bitwise equal to ``capacitance_matrix.dot(x)``."""
+        structure = self.structure()
+        return _entry_dot(
+            structure.c_rows, structure.c_cols, self.capacitance_matrix.data, x, self.size
+        )
+
+    # -- sources -----------------------------------------------------------------------
+
+    def source_vector(self, time_s: float) -> np.ndarray:
+        """The right-hand-side source vector at ``time_s``."""
+        b = np.zeros(self.size)
+        for offset, source in enumerate(self.record.voltage_sources):
+            b[self.n_nodes + offset] = source.value_at(time_s)
+        for source in self.record.current_sources:
+            value = source.value_at(time_s)
+            p = self.index_of(source.positive)
+            n = self.index_of(source.negative)
+            if p is not None:
+                b[p] -= value
+            if n is not None:
+                b[n] += value
+        return b
+
+    # -- nonlinear stamps ------------------------------------------------------------------
+
+    def batch_plan(self) -> BatchPlan:
+        """The record's device gather/scatter arrays."""
+        return self.record.batch_plan()
+
     def dense_system(self) -> DenseSystem:
-        """The dense DC backend of this assembler (built once, cached)."""
+        """The dense DC backend of this binding (built once, cached)."""
         if self._dense_system is None:
             self._dense_system = DenseSystem(self)
         return self._dense_system
@@ -508,57 +622,44 @@ class MNAAssembler:
         """Whether DC solves of this system go through the dense backend."""
         return self.size <= DENSE_SOLVER_MAX_UNKNOWNS
 
-    def _voltage_at(self, solution: np.ndarray, node: str) -> float:
-        index = self.index_of(node)
-        return 0.0 if index is None else float(solution[index])
-
     def nonlinear_stamp(self, solution: np.ndarray) -> NonlinearStamp:
-        """Linearised companion stamps of all MOSFETs around ``solution``."""
+        """Linearised companion stamps of all MOSFETs around ``solution``.
+
+        Every device runs its own compact model; the residual and stamp
+        values are scattered through the record's :class:`BatchPlan`, the
+        one definition of the stamp emission order, which the batched tier
+        and the Jacobian structure read too.
+        """
+        plan = self.batch_plan()
+        mosfets = self.record.mosfets
         stats = solver_stats()
         stats.stamp_evals += 1
-        stats.stamp_device_evals += len(self.mosfets)
-        rows: List[int] = []
-        cols: List[int] = []
-        values: List[float] = []
-        residual = np.zeros(self.size)
-
-        def add(row: Optional[int], col: Optional[int], value: float) -> None:
-            if row is None or col is None:
-                return
-            rows.append(row)
-            cols.append(col)
-            values.append(value)
-
-        for device in self.mosfets:
-            v_drain = self._voltage_at(solution, device.drain)
-            v_gate = self._voltage_at(solution, device.gate)
-            v_source = self._voltage_at(solution, device.source)
-            op = device.operating_point(v_drain, v_gate, v_source)
-
-            d = self.index_of(device.drain)
-            g = self.index_of(device.gate)
-            s = self.index_of(device.source)
-
-            if d is not None:
-                residual[d] += op.ids_a
-            if s is not None:
-                residual[s] -= op.ids_a
-
-            gds = op.gds_s
-            gm = op.gm_s
-            stamp_values = (gds, gm, -(gds + gm), -gds, -gm, gds + gm)
-            for (row, col), value in zip(
-                self._device_stamp_pairs(d, g, s), stamp_values
-            ):
-                add(row, col, value)
-
-        return NonlinearStamp(rows=rows, cols=cols, values=values, residual=residual)
+        stats.stamp_device_evals += len(mosfets)
+        # Terminal voltages, with ground read from a trailing zero.
+        v = np.append(solution, 0.0).tolist()
+        terminals = zip(
+            mosfets, plan.drain_idx.tolist(), plan.gate_idx.tolist(), plan.source_idx.tolist()
+        )
+        ops = [device.operating_point(v[d], v[g], v[s]) for device, d, g, s in terminals]
+        ids = np.array([op.ids_a for op in ops], dtype=float)
+        gds = np.array([op.gds_s for op in ops], dtype=float)[plan.stamp_dev]
+        gm = np.array([op.gm_s for op in ops], dtype=float)[plan.stamp_dev]
+        residual = np.bincount(
+            plan.res_pos, weights=ids[plan.res_dev] * plan.res_sign, minlength=self.size
+        ).astype(float, copy=False)
+        values = np.choose(plan.stamp_pick, (gds, gm, gds + gm)) * plan.stamp_sign
+        return NonlinearStamp(
+            rows=plan.stamp_rows, cols=plan.stamp_cols, values=values, residual=residual
+        )
 
     # -- solution helpers ----------------------------------------------------------------------
 
     def solution_to_dict(self, solution: np.ndarray) -> Dict[str, float]:
         """Map an MNA solution vector to a node-name → voltage dictionary."""
-        voltages = {name: float(solution[index]) for name, index in self._node_index.items()}
+        voltages = {
+            name: float(solution[index])
+            for name, index in self.record.node_index.items()
+        }
         voltages["0"] = 0.0
         return voltages
 
@@ -566,10 +667,11 @@ class MNAAssembler:
         """Build an initial solution vector from a node-voltage dictionary."""
         solution = np.zeros(self.size)
         if initial_voltages:
+            node_index = self.record.node_index
             for node, value in initial_voltages.items():
                 if is_ground(node):
                     continue
-                index = self._node_index.get(node)
+                index = node_index.get(node)
                 if index is None:
                     raise MNAError(
                         f"initial condition given for unknown node {node!r}"
@@ -579,73 +681,41 @@ class MNAAssembler:
 
 
 class JacobianTemplate:
-    """One fixed CSC sparsity pattern for every Newton Jacobian of a circuit.
+    """One binding's ``G`` and ``C`` on its record's fixed Jacobian structure.
 
-    The pattern is the union of the nonzeros of ``G``, ``C`` and the MOSFET
-    stamp positions, ordered column-major with sorted rows — i.e. a valid
-    CSC structure that never changes.  ``G`` and ``C`` are pre-scattered
-    into template-aligned data arrays, and the per-iteration stamp values
-    are injected through a precomputed position map, so assembling
+    The structure (:class:`MatrixStructure`) is a valid CSC pattern that
+    never changes and is shared by every binding of a record.  A template
+    only scatters its binding's ``G`` and ``C`` values into
+    structure-aligned data arrays, and the per-iteration stamp values are
+    injected through the structure's position map, so assembling
     ``G + C/dt + J_nl`` costs one vector add instead of two sparse-matrix
     additions and a CSR→CSC conversion.
-
-    ``like`` accepts the template of a *same-topology* circuit (identical
-    element construction order, only R/C/device values differing — e.g.
-    the same bit-line ladder at a different patterning corner): the
-    expensive sort/unique structure analysis is skipped and only the value
-    arrays are rebuilt.  The donor is verified position-by-position, so a
-    mismatched donor silently falls back to a full build.
     """
 
-    def __init__(
-        self, assembler: MNAAssembler, like: Optional["JacobianTemplate"] = None
-    ) -> None:
+    def __init__(self, assembler: MNAAssembler) -> None:
+        self.structure = structure = assembler.structure()
         self.size = assembler.size
-        g_coo = assembler.conductance_matrix.tocoo()
-        c_coo = assembler.capacitance_matrix.tocoo()
-        nl_rows, nl_cols = assembler.nonlinear_positions()
-
-        rows = np.concatenate([g_coo.row, c_coo.row, np.asarray(nl_rows, dtype=np.int64)])
-        cols = np.concatenate([g_coo.col, c_coo.col, np.asarray(nl_cols, dtype=np.int64)])
-        keys = cols.astype(np.int64) * self.size + rows.astype(np.int64)
-
-        self.structure_reused = (
-            like is not None
-            and like.size == self.size
-            and like._coo_keys.shape == keys.shape
-            and np.array_equal(like._coo_keys, keys)
-        )
-        if self.structure_reused:
-            inverse = like._inverse
-            self.indices = like.indices
-            self.indptr = like.indptr
-            self.nnz = like.nnz
-        else:
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            self.indices = (unique_keys % self.size).astype(np.int32)
-            unique_cols = unique_keys // self.size
-            self.indptr = np.searchsorted(
-                unique_cols, np.arange(self.size + 1)
-            ).astype(np.int32)
-            self.nnz = int(unique_keys.size)
-        #: COO position keys and their template positions, kept so a later
-        #: same-topology template can verify and adopt this structure.
-        self._coo_keys = keys
-        self._inverse = inverse
-
-        n_g = g_coo.nnz
-        n_c = c_coo.nnz
-        self.g_data = np.zeros(self.nnz)
-        np.add.at(self.g_data, inverse[:n_g], g_coo.data)
-        self.c_data = np.zeros(self.nnz)
-        np.add.at(self.c_data, inverse[n_g : n_g + n_c], c_coo.data)
+        self.indices = structure.indices
+        self.indptr = structure.indptr
+        self.nnz = structure.nnz
         #: Template position of each stamp triplet, in emission order.
-        self.nl_positions = inverse[n_g + n_c :].copy()
+        self.nl_positions = structure.nl_positions
+        self.g_data = np.zeros(self.nnz)
+        np.add.at(self.g_data, structure.g_positions, assembler.conductance_matrix.data)
+        self.c_data = np.zeros(self.nnz)
+        np.add.at(self.c_data, structure.c_positions, assembler.capacitance_matrix.data)
 
     def matrix(self, data: np.ndarray) -> sparse.csc_matrix:
         """Wrap a template-aligned data vector as a CSC matrix (no copy)."""
         return sparse.csc_matrix(
             (data, self.indices, self.indptr), shape=(self.size, self.size)
+        )
+
+    def dot(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``matrix(data)·x``, bit for bit, without building the matrix."""
+        structure = self.structure
+        return _entry_dot(
+            structure.indices, structure.jacobian_cols, data, x, self.size
         )
 
     def static_data(self, c_factor: float = 0.0) -> np.ndarray:
@@ -659,48 +729,43 @@ class CachedFactorSolver:
     """Sparse-LU reuse across Newton iterations and time steps.
 
     Keyed by the capacitance scale ``c_factor`` (0 for DC, ``1/dt`` for
-    backward Euler, ``2/dt`` for trapezoidal): the static matrix
-    ``G + c_factor·C`` and — while the nonlinear stamp values are unchanged
-    — its :func:`~scipy.sparse.linalg.splu` factorisation are cached, so a
-    linear circuit refactorises only when ``dt`` changes and a nonlinear
-    one skips all matrix assembly overhead.
+    backward Euler, ``2/dt`` for trapezoidal): the static data of
+    ``G + c_factor·C`` and — while the nonlinear stamp values are
+    unchanged — its :func:`~scipy.sparse.linalg.splu` factorisation are
+    cached, so a linear circuit refactorises only when ``dt`` changes and
+    a nonlinear one skips all matrix assembly overhead.
 
     Every factorisation refills one CSC matrix per solver in place and
     hands it to :func:`~scipy.sparse.linalg.splu`, which copies what it
     factors: the structure checks scipy runs on a new matrix (format,
     index dtype, canonical order) are paid once per solver, not once per
-    factorisation.
+    factorisation.  That matrix is the only scipy matrix a time step
+    touches; the step's products go through :meth:`JacobianTemplate.dot`.
     """
 
     #: Distinct c_factor entries kept before the cache is reset (the
     #: adaptive step controller revisits a small set of dt values).
     MAX_CACHE = 32
 
-    def __init__(
-        self, assembler: MNAAssembler, like: Optional[JacobianTemplate] = None
-    ) -> None:
+    def __init__(self, assembler: MNAAssembler) -> None:
         self.assembler = assembler
-        self.template = JacobianTemplate(assembler, like=like)
-        self._static: Dict[float, Tuple[np.ndarray, sparse.csc_matrix]] = {}
+        self.template = JacobianTemplate(assembler)
+        self._static: Dict[float, np.ndarray] = {}
         self._lu: Dict[float, Tuple[Optional[np.ndarray], object]] = {}
         self._jacobian = self.template.matrix(np.zeros(self.template.nnz))
         self.n_factorizations = 0
         self.n_solves = 0
 
-    def _static_entry(self, c_factor: float) -> Tuple[np.ndarray, sparse.csc_matrix]:
-        entry = self._static.get(c_factor)
-        if entry is None:
+    def static_data(self, c_factor: float) -> np.ndarray:
+        """Template data of ``G + c_factor·C`` (cached per factor)."""
+        data = self._static.get(c_factor)
+        if data is None:
             if len(self._static) >= self.MAX_CACHE:
                 self._static.clear()
                 self._lu.clear()
             data = self.template.static_data(c_factor)
-            entry = (data, self.template.matrix(data))
-            self._static[c_factor] = entry
-        return entry
-
-    def static_matrix(self, c_factor: float = 0.0) -> sparse.csc_matrix:
-        """``G + c_factor·C`` in template CSC form (cached per factor)."""
-        return self._static_entry(c_factor)[1]
+            self._static[c_factor] = data
+        return data
 
     def solve(
         self, c_factor: float, stamp: NonlinearStamp, rhs: np.ndarray
@@ -711,7 +776,7 @@ class CachedFactorSolver:
         when the stamp values are identical — always the case for circuits
         without nonlinear devices, where the Jacobian is the static matrix.
         """
-        static_data, _ = self._static_entry(c_factor)
+        static_data = self.static_data(c_factor)
         values = np.asarray(stamp.values)
         cached = self._lu.get(c_factor)
         lu = None

@@ -239,15 +239,6 @@ class DeviceParams:
             lambda_per_v=np.concatenate([p.lambda_per_v for p in items]),
         )
 
-    def tile(self, repeats: int) -> "DeviceParams":
-        return DeviceParams(
-            polarity=np.tile(self.polarity, repeats),
-            vth_v=np.tile(self.vth_v, repeats),
-            k_a=np.tile(self.k_a, repeats),
-            alpha=np.tile(self.alpha, repeats),
-            lambda_per_v=np.tile(self.lambda_per_v, repeats),
-        )
-
 
 def _batch_softplus(value: np.ndarray, width: float) -> np.ndarray:
     """Vectorised :func:`_softplus`; selected branches match it bitwise."""

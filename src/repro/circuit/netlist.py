@@ -91,13 +91,6 @@ class Circuit:
     def node_count(self) -> int:
         return len(self.nodes())
 
-    def connected_elements(self, node: str) -> List[CircuitElement]:
-        return [
-            element
-            for element in self._elements.values()
-            if node in element.nodes()
-        ]
-
     def validate(self) -> None:
         """Basic sanity checks: every node must connect at least two terminals
         (or one terminal plus ground-referenced elements), and the circuit
@@ -134,13 +127,3 @@ class Circuit:
             counts[type(element).__name__] = counts.get(type(element).__name__, 0) + 1
         counts["nodes"] = self.node_count()
         return counts
-
-    def total_capacitance_on(self, node: str) -> float:
-        """Sum of capacitor values attached to ``node`` (diagnostics only)."""
-        from .elements import Capacitor
-
-        total = 0.0
-        for element in self.elements_of_type(Capacitor):
-            if node in element.nodes():
-                total += element.capacitance_f
-        return total

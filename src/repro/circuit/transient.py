@@ -24,6 +24,13 @@ requests of many lanes into one vectorised device-kernel call per tick.
 The linear solves stay on each lane's own
 :class:`~repro.circuit.mna.CachedFactorSolver` in both cases.
 
+A solver runs on a circuit's own assembler or on a
+:class:`~repro.circuit.mna.TopologyRecord` bound to one corner's values.
+A step builds no scipy matrix except the CSC its solver hands to
+``splu``: ``C·x_prev``, ``(G + c_factor·C)·x`` and the trapezoidal
+``G·x_prev`` are summed from the record's index arrays with
+``np.bincount``, in scipy's matvec order, so the bits do not change.
+
 Recording costs no per-node work per step: the recorded nodes' indices
 are resolved once per lane (a node named twice is recorded once), every
 accepted solution vector is kept, and the waveforms are gathered from
@@ -35,14 +42,14 @@ accepted step and only when a stop condition is set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs.convergence import record_convergence, record_step_rejections
 from ..obs.trace import span
 from .dc import ConvergenceError, NewtonOptions, rescue_level
-from .mna import CachedFactorSolver, JacobianTemplate, MNAAssembler, NonlinearStamp
+from .mna import CachedFactorSolver, MNAAssembler, NonlinearStamp
 from .netlist import Circuit
 from .waveform import TransientResult
 
@@ -81,20 +88,24 @@ class TransientOptions:
 
 
 class TransientSolver:
-    """Time-domain solver for a fixed circuit."""
+    """Time-domain solver for a fixed circuit or a bound topology record.
 
-    def __init__(self, circuit: Circuit, options: Optional[TransientOptions] = None,
-                 gmin_s: float = 1e-12,
-                 jacobian_like: Optional[JacobianTemplate] = None) -> None:
-        self.circuit = circuit
+    ``circuit`` is a :class:`Circuit` (assembled here at ``gmin_s``) or an
+    already bound :class:`MNAAssembler`, which brings its own gmin.
+    """
+
+    def __init__(self, circuit: Union[Circuit, MNAAssembler],
+                 options: Optional[TransientOptions] = None,
+                 gmin_s: float = 1e-12) -> None:
         self.options = options if options is not None else TransientOptions()
-        self.assembler = MNAAssembler(circuit, gmin_s=gmin_s)
+        self.assembler = (
+            circuit
+            if isinstance(circuit, MNAAssembler)
+            else MNAAssembler(circuit, gmin_s=gmin_s)
+        )
         # Shared factorisation cache: the LU of (G + C/dt) is reused across
         # iterations and steps until dt or the device stamps change.
-        # ``jacobian_like`` lets callers donate the CSC structure of a
-        # previously solved same-topology circuit (e.g. the same RC ladder
-        # at a different patterning corner) so only the values are rebuilt.
-        self.solver_cache = CachedFactorSolver(self.assembler, like=jacobian_like)
+        self.solver_cache = CachedFactorSolver(self.assembler)
 
     def run(
         self,
@@ -152,23 +163,25 @@ def _transient_lane(
     assembler = solver.assembler
     newton = options.newton
     cache = solver.solver_cache
-    g_matrix = assembler.conductance_matrix
-    c_matrix = assembler.capacitance_matrix
+    template = cache.template
 
     x = assembler.initial_solution(initial_voltages)
     # Each recorded node once, in first-mention order; its index resolves
     # here (raising early for typos), with ground reading the zero that
-    # extends the solution vector at index ``size``.
-    record_nodes = list(dict.fromkeys(
-        options.record_nodes if options.record_nodes is not None else assembler.node_names
-    ))
-    record_index = np.array(
-        [
-            assembler.size if index is None else index
-            for index in map(assembler.index_of, record_nodes)
-        ],
-        dtype=np.int64,
-    )
+    # extends the solution vector at index ``size``.  By default every
+    # node is recorded, in MNA order.
+    if options.record_nodes is None:
+        record_nodes = assembler.node_names
+        record_index = np.arange(assembler.n_nodes)
+    else:
+        record_nodes = list(dict.fromkeys(options.record_nodes))
+        record_index = np.array(
+            [
+                assembler.size if index is None else index
+                for index in map(assembler.index_of, record_nodes)
+            ],
+            dtype=np.int64,
+        )
     x_ext = np.zeros(assembler.size + 1)
 
     times: List[float] = [0.0]
@@ -207,7 +220,7 @@ def _transient_lane(
         # -- one implicit step from x to time_s + dt_s ----------------------------
         step_time_s = time_s + dt_s
         # C·x_prev as a vector op — no per-step sparse scalar division.
-        c_dot_prev_over_dt = c_matrix.dot(x) / dt_s
+        c_dot_prev_over_dt = assembler.c_dot(x) / dt_s
         b_now = assembler.source_vector(step_time_s)
         if options.method == "trapezoidal":
             # Trapezoidal: C (x−x_prev)/dt = −0.5 [f(x, t) + f(x_prev, t_prev)]
@@ -217,7 +230,7 @@ def _transient_lane(
             stamp_prev = yield x
             history_term = (
                 c_dot_prev_over_dt * 2.0
-                - g_matrix.dot(x)
+                - assembler.g_dot(x)
                 - stamp_prev.residual
                 + b_prev
             )
@@ -225,13 +238,15 @@ def _transient_lane(
         else:
             c_factor = 1.0 / dt_s
             rhs_const = b_now + c_dot_prev_over_dt
-        static = cache.static_matrix(c_factor)
+        static_data = cache.static_data(c_factor)
 
         solution: Optional[np.ndarray] = None
         x_iter = x.copy()
         for _iteration in range(newton.max_iterations):
             stamp = yield x_iter
-            residual = static.dot(x_iter) + stamp.residual - rhs_const
+            residual = (
+                template.dot(static_data, x_iter) + stamp.residual - rhs_const
+            )
             max_residual = (
                 float(np.max(np.abs(residual))) if residual.size else 0.0
             )
@@ -257,7 +272,9 @@ def _transient_lane(
         else:
             # Budget exhausted: one last residual check with the final iterate.
             stamp = yield x_iter
-            residual = static.dot(x_iter) + stamp.residual - rhs_const
+            residual = (
+                template.dot(static_data, x_iter) + stamp.residual - rhs_const
+            )
             if float(np.max(np.abs(residual))) < newton.abs_tolerance_a * 100.0:
                 solution = x_iter
 

@@ -171,26 +171,6 @@ class TransientResult:
             )
         return None
 
-    def delay_between(
-        self,
-        trigger_node: str,
-        trigger_level_v: float,
-        target_node: str,
-        target_level_v: float,
-        trigger_direction: str = "rising",
-        target_direction: str = "falling",
-    ) -> Optional[float]:
-        """Classic SPICE ``.measure TRIG ... TARG ...`` style delay."""
-        trigger = self.crossing_time_s(trigger_node, trigger_level_v, trigger_direction)
-        if trigger is None:
-            return None
-        target = self.crossing_time_s(
-            target_node, target_level_v, target_direction, start_time_s=trigger
-        )
-        if target is None:
-            return None
-        return target - trigger
-
     def sample(self, node: str, times_s: Sequence[float]) -> np.ndarray:
         """Resample a node waveform onto an arbitrary time grid."""
         return np.interp(np.asarray(times_s, dtype=float), self.times_s, self.voltage(node))

@@ -27,6 +27,10 @@ from .precharge import PrechargeCircuit, build_precharge
 from .sense_amp import SenseAmplifier
 
 
+#: Name of the resistor that models the accessed cell's VSS return path.
+VSS_RAIL = "rvss_rail"
+
+
 class ArrayCircuitError(ValueError):
     """Raised when a read circuit cannot be built."""
 
@@ -136,9 +140,7 @@ def build_read_circuit(spec: ReadCircuitSpec) -> SRAMReadCircuit:
     circuit.add_all(precharge.elements)
 
     # VSS return path of the accessed cell: metal1 rail back to the strap.
-    circuit.add(
-        Resistor("rvss_rail", "vss_cell", "0", spec.vss_rail_resistance_ohm)
-    )
+    circuit.add(Resistor(VSS_RAIL, "vss_cell", "0", spec.vss_rail_resistance_ohm))
 
     # The accessed cell at the far end of the column (worst-case position).
     cell_nodes = CellNodes(

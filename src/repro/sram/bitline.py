@@ -15,7 +15,7 @@ distortion propagates into the ladder automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..circuit.elements import Capacitor, CircuitElement, Resistor
 from ..extraction.field import WireParasitics
@@ -137,6 +137,23 @@ class BitlineLadder:
         return self.node_names[-1]
 
 
+def ladder_values(spec: BitlineSpec, segments: int) -> Tuple[float, List[float]]:
+    """Section resistance and node capacitances of a ``segments``-section ladder.
+
+    The one formula behind :func:`build_bitline_ladder` and the binding of
+    read and write columns to their topology records.  The end nodes carry
+    half a section's capacitance each (pi sections approximating a
+    distributed line), interior nodes a full section's.
+    """
+    cells_per_segment = spec.n_cells / segments
+    resistance = spec.resistance_per_cell_ohm * cells_per_segment
+    capacitance = (
+        spec.capacitance_per_cell_f + spec.frontend_capacitance_per_cell_f
+    ) * cells_per_segment
+    half = capacitance / 2.0
+    return resistance, [half] + [capacitance] * (segments - 1) + [half]
+
+
 def build_bitline_ladder(
     spec: BitlineSpec,
     prefix: str,
@@ -165,32 +182,16 @@ def build_bitline_ladder(
     if segments > spec.n_cells:
         segments = spec.n_cells
 
-    cells_per_segment = spec.n_cells / segments
-    resistance_per_segment = spec.resistance_per_cell_ohm * cells_per_segment
-    capacitance_per_segment = (
-        spec.capacitance_per_cell_f + spec.frontend_capacitance_per_cell_f
-    ) * cells_per_segment
-
+    resistance_per_segment, node_capacitances = ladder_values(spec, segments)
     node_names = [f"{prefix}_{index}" for index in range(segments + 1)]
-    elements: List[CircuitElement] = []
-    # Half of the first segment's capacitance belongs to the periphery node
-    # so the ladder approximates a distributed line (pi sections).
-    elements.append(
-        Capacitor(f"{prefix}_c0", node_names[0], "0", capacitance_per_segment / 2.0)
-    )
+    elements: List[CircuitElement] = [
+        Capacitor(f"{prefix}_c0", node_names[0], "0", node_capacitances[0])
+    ]
     for index in range(segments):
+        near, far = node_names[index], node_names[index + 1]
+        elements.append(Resistor(f"{prefix}_r{index}", near, far, resistance_per_segment))
         elements.append(
-            Resistor(
-                f"{prefix}_r{index}",
-                node_names[index],
-                node_names[index + 1],
-                resistance_per_segment,
-            )
-        )
-        # Interior nodes carry a full segment capacitance, the last node a half.
-        value = capacitance_per_segment if index < segments - 1 else capacitance_per_segment / 2.0
-        elements.append(
-            Capacitor(f"{prefix}_c{index + 1}", node_names[index + 1], "0", value)
+            Capacitor(f"{prefix}_c{index + 1}", far, "0", node_capacitances[index + 1])
         )
     return BitlineLadder(
         spec=spec,

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..circuit.batch import PreparedWork, TransientLaneSpec
-from ..circuit.mna import JacobianTemplate
+from ..circuit.mna import MNAAssembler, MNAError, TopologyRecord
 from ..circuit.transient import TransientOptions, TransientSolver
 from ..extraction.field import ExtractionResult
 from ..extraction.lpe import ParameterizedLPE
 from ..layout.array import SRAMArrayLayout, generate_array_layout
 from ..patterning.base import ParameterValues, PatterningOption
 from ..technology.node import TechnologyNode
-from .array import ReadCircuitSpec, SRAMReadCircuit, build_read_circuit
-from .bitline import BitlineSpec, supply_rail_resistance_ohm
+from .array import VSS_RAIL, ReadCircuitSpec, SRAMReadCircuit, build_read_circuit
+from .bitline import BitlineSpec, ladder_values, supply_rail_resistance_ohm
 from .cell import bitline_loading_per_unselected_cell_f
 
 
@@ -55,9 +55,6 @@ class ReadMeasurement:
             raise ReadSimulationError("nominal td must be positive")
         return self.td_s / nominal.td_s
 
-    def penalty_percent_vs(self, nominal: "ReadMeasurement") -> float:
-        return (self.penalty_vs(nominal) - 1.0) * 100.0
-
 
 @dataclass
 class ColumnParasitics:
@@ -87,6 +84,53 @@ class ColumnParasitics:
             vss_rail_resistance_ohm=self.vss_rail_resistance_ohm * rail_rvar,
             vdd_rail_resistance_ohm=self.vdd_rail_resistance_ohm * rail_rvar,
         )
+
+
+class ColumnRecord:
+    """One built column circuit, its topology record and where a column binds.
+
+    Read and write columns of one shape (cell count — which fixes the
+    segment count and the precharge and driver sizes — and stored or
+    written value) differ only in their two ladders' R/C values and the
+    VSS rail resistance.  :meth:`bind` writes those for another column
+    into the record's value arrays; no netlist is built, validated or
+    indexed.  ``built`` is the read or write circuit the record was built
+    from (its node names and initial voltages serve every binding).
+    """
+
+    def __init__(self, built) -> None:
+        self.built = built
+        self.topology = topology = TopologyRecord(built.circuit)
+        r_slot = {r.name: k for k, r in enumerate(topology.resistors)}
+        c_slot = {c.name: k for k, c in enumerate(topology.capacitors)}
+        ladders = (built.bitline_ladder, built.bitline_bar_ladder)
+        self.segments = ladders[0].segments
+        self._ladder_slots = [
+            (
+                [r_slot[e.name] for e in ladder.elements if e.name in r_slot],
+                [c_slot[e.name] for e in ladder.elements if e.name in c_slot],
+            )
+            for ladder in ladders
+        ]
+        self._rail_slot = r_slot[VSS_RAIL]
+
+    def bind(self, column: "ColumnParasitics") -> MNAAssembler:
+        """The assembler of ``column``; raises ``MNAError`` if it does not fit."""
+        resistances = self.topology.resistances.copy()
+        capacitances = self.topology.capacitances.copy()
+        for spec, (r_slots, c_slots) in zip(
+            (column.bitline, column.bitline_bar), self._ladder_slots
+        ):
+            if spec.n_cells < self.segments:
+                raise MNAError(
+                    f"a {spec.n_cells}-cell bit line cannot bind to a "
+                    f"{self.segments}-section column record"
+                )
+            resistance, node_capacitances = ladder_values(spec, self.segments)
+            resistances[r_slots] = resistance
+            capacitances[c_slots] = node_capacitances
+        resistances[self._rail_slot] = column.vss_rail_resistance_ohm
+        return self.topology.bind(resistances, capacitances)
 
 
 def transient_window(
@@ -184,9 +228,9 @@ class ReadPathSimulator:
         self._printed_extraction_cache: Dict[
             Tuple[int, str, Tuple[Tuple[str, float], ...]], ExtractionResult
         ] = {}
-        # Jacobian CSC structures keyed by circuit topology: corners of the
-        # same ladder only change stamp values, not the sparsity pattern.
-        self._jacobian_template_cache: Dict[Tuple[int, int], JacobianTemplate] = {}
+        # Column records keyed by (n_cells, stored value): every corner of
+        # one column shape binds its values to the same record.
+        self._column_records: Dict[Tuple[int, int], ColumnRecord] = {}
 
     #: Printed extractions kept before the cache resets (a full paper DOE
     #: sweep touches |sizes| x |options| = 12 distinct corners).
@@ -195,11 +239,12 @@ class ReadPathSimulator:
     def adopt_shared_caches(self, donor: "ReadPathSimulator") -> None:
         """Share the geometry-derived caches with another simulator.
 
-        Layouts, extractions and Jacobian structures depend only on the node
+        Layouts, extractions and column records depend only on the node
         and the array geometry, so simulators that differ in simulation
         settings (VSS strap interval, transient method, stored value) can
-        reuse them.  Used by the campaign engine so scenario variants
-        extract each layout once.
+        reuse them; column records also need the same segment cap.  Used
+        by the campaign engine so scenario variants extract each layout
+        once.
         """
         if donor.node is not self.node or donor.n_bitline_pairs != self.n_bitline_pairs:
             raise ReadSimulationError(
@@ -210,7 +255,7 @@ class ReadPathSimulator:
         self._nominal_extraction_cache = donor._nominal_extraction_cache
         self._printed_extraction_cache = donor._printed_extraction_cache
         if donor.max_segments == self.max_segments:
-            self._jacobian_template_cache = donor._jacobian_template_cache
+            self._column_records = donor._column_records
 
     # -- layout & extraction helpers ------------------------------------------------
 
@@ -328,25 +373,25 @@ class ReadPathSimulator:
         label: str,
         stored_value: int = 0,
     ) -> PreparedWork:
-        """One read measurement as prepared work (a single transient lane)."""
-        read_circuit = self.build_circuit(n_cells, column, stored_value)
+        """One read measurement as prepared work (a single transient lane).
+
+        The circuit is built once per (``n_cells``, ``stored_value``); every
+        further column of that shape only binds its ladder and rail values
+        to the cached :class:`ColumnRecord`.
+        """
+        key = (n_cells, stored_value)
+        record = self._column_records.get(key)
+        if record is None:
+            built = self.build_circuit(n_cells, column, stored_value)
+            record = self._column_records.setdefault(key, ColumnRecord(built))
+        read_circuit = record.built
         options = transient_window(
             self.node,
             column,
             self.node.operating_conditions.sense_amp_sensitivity_v,
             self._transient_method,
         )
-        # Corners of the same topology (segment count + stored value) share
-        # one Jacobian sparsity structure; only the stamp values differ.
-        template_key = (min(n_cells, self.max_segments), stored_value)
-        solver = TransientSolver(
-            read_circuit.circuit,
-            options=options,
-            jacobian_like=self._jacobian_template_cache.get(template_key),
-        )
-        self._jacobian_template_cache.setdefault(
-            template_key, solver.solver_cache.template
-        )
+        solver = TransientSolver(record.bind(column), options=options)
         lane = TransientLaneSpec(
             solver,
             initial_voltages=read_circuit.initial_voltages,

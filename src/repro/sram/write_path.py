@@ -17,9 +17,10 @@ merit come out:
 The simulator reuses the read path's geometry stack (layouts, nominal and
 printed extractions, column parasitics) by composing a
 :class:`~repro.sram.read_path.ReadPathSimulator`, so a campaign mixing
-read and write operations extracts each layout exactly once.  Jacobian CSC
-structures are donated across same-topology corners exactly as in the
-read harness.
+read and write operations extracts each layout exactly once.  Like the
+read harness it builds one circuit per column shape and binds every
+further column to that circuit's
+:class:`~repro.sram.read_path.ColumnRecord`.
 """
 
 from __future__ import annotations
@@ -32,15 +33,20 @@ import numpy as np
 from ..circuit.batch import PreparedWork, TransientLaneSpec
 from ..circuit.dc import NewtonOptions, dc_sweep
 from ..circuit.elements import PiecewiseLinear, Resistor, VoltageSource
-from ..circuit.mna import JacobianTemplate
 from ..circuit.mosfet import MOSFET
 from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientSolver
 from ..technology.node import TechnologyNode
-from .bitline import build_bitline_ladder
+from .array import VSS_RAIL
+from .bitline import BitlineLadder, build_bitline_ladder
 from .cell import CellNodes, build_cell
 from .precharge import build_precharge, precharge_fins
-from .read_path import ColumnParasitics, ReadPathSimulator, transient_window
+from .read_path import (
+    ColumnParasitics,
+    ColumnRecord,
+    ReadPathSimulator,
+    transient_window,
+)
 
 
 class WriteSimulationError(RuntimeError):
@@ -90,7 +96,8 @@ class SRAMWriteCircuit:
     qb_node: str
     write_value: int
     initial_voltages: Dict[str, float]
-    segments: int
+    bitline_ladder: BitlineLadder
+    bitline_bar_ladder: BitlineLadder
 
 
 class WritePathSimulator:
@@ -139,9 +146,9 @@ class WritePathSimulator:
         )
         # Nominal DC write margins keyed by (n_cells, write_value).
         self._nominal_margin_cache: Dict[Tuple[int, int], WriteMarginMeasurement] = {}
-        # Jacobian CSC structures keyed by (segments, write_value): corners
-        # of the same ladder topology only change stamp values.
-        self._jacobian_template_cache: Dict[Tuple[int, int], JacobianTemplate] = {}
+        # Column records keyed by (n_cells, write_value), as in the read
+        # simulator.
+        self._column_records: Dict[Tuple[int, int], ColumnRecord] = {}
 
     # -- extraction plumbing (delegated to the shared geometry stack) ---------------
 
@@ -238,7 +245,7 @@ class WritePathSimulator:
         )
 
         # VSS return path of the accessed cell.
-        circuit.add(Resistor("rvss_rail", "vss_cell", "0", column.vss_rail_resistance_ohm))
+        circuit.add(Resistor(VSS_RAIL, "vss_cell", "0", column.vss_rail_resistance_ohm))
 
         cell_nodes = CellNodes(
             bitline=bitline_ladder.far_node,
@@ -272,7 +279,8 @@ class WritePathSimulator:
             qb_node="qb",
             write_value=write_value,
             initial_voltages=initial_voltages,
-            segments=segments,
+            bitline_ladder=bitline_ladder,
+            bitline_bar_ladder=bitline_bar_ladder,
         )
 
     # -- transient write -----------------------------------------------------------
@@ -284,20 +292,22 @@ class WritePathSimulator:
         label: str,
         write_value: int = 0,
     ) -> PreparedWork:
-        """One write measurement as prepared work (a single transient lane)."""
-        write_circuit = self.build_circuit(n_cells, column, write_value)
+        """One write measurement as prepared work (a single transient lane).
+
+        The circuit is built once per (``n_cells``, ``write_value``); every
+        further column of that shape only binds its ladder and rail values
+        to the cached :class:`~repro.sram.read_path.ColumnRecord`.
+        """
+        key = (n_cells, write_value)
+        record = self._column_records.get(key)
+        if record is None:
+            built = self.build_circuit(n_cells, column, write_value)
+            record = self._column_records.setdefault(key, ColumnRecord(built))
+        write_circuit = record.built
         options = transient_window(
             self.node, column, self.node.operating_conditions.vdd_v, self._transient_method
         )
-        template_key = (write_circuit.segments, write_value)
-        solver = TransientSolver(
-            write_circuit.circuit,
-            options=options,
-            jacobian_like=self._jacobian_template_cache.get(template_key),
-        )
-        self._jacobian_template_cache.setdefault(
-            template_key, solver.solver_cache.template
-        )
+        solver = TransientSolver(record.bind(column), options=options)
 
         conditions = self.node.operating_conditions
         vdd = conditions.vdd_v

@@ -309,7 +309,7 @@ def _restarted(lane: TransientLaneSpec, **changes: Any) -> TransientLaneSpec:
     """The lane on a fresh solver whose options carry ``changes``."""
     solver = lane.solver
     options = replace(solver.options, **changes)
-    return replace(lane, solver=TransientSolver(solver.circuit, options=options))
+    return replace(lane, solver=TransientSolver(solver.assembler, options=options))
 
 
 def starved_transient_lanes() -> List[TransientLaneSpec]:

@@ -116,11 +116,6 @@ class TestCircuit:
         assert len(circuit.elements_of_type(Resistor)) == 2
         assert len(circuit.elements_of_type(VoltageSource)) == 1
 
-    def test_connected_elements(self):
-        circuit = self.build()
-        names = {element.name for element in circuit.connected_elements("mid")}
-        assert names == {"r1", "r2"}
-
     def test_validate_passes_for_wellformed_circuit(self):
         self.build().validate()
 
@@ -147,9 +142,3 @@ class TestCircuit:
         assert summary["Resistor"] == 2
         assert summary["VoltageSource"] == 1
         assert summary["nodes"] == 2
-
-    def test_total_capacitance_on_node(self):
-        circuit = self.build()
-        circuit.add(Capacitor("c1", "mid", "0", 2e-15))
-        circuit.add(Capacitor("c2", "mid", "in", 3e-15))
-        assert circuit.total_capacitance_on("mid") == pytest.approx(5e-15)

@@ -43,15 +43,6 @@ class TestTransientResult:
         result = ramp_result()
         assert result.differential_crossing_time_s("blb", "blb", 0.07) is None
 
-    def test_delay_between(self):
-        times = np.linspace(0.0, 1e-9, 101)
-        wl = np.where(times > 0.2e-9, 0.7, 0.0)
-        bl = np.maximum(0.7 - 0.7 * (times - 0.3e-9) / 0.5e-9, 0.0)
-        bl = np.where(times < 0.3e-9, 0.7, bl)
-        result = TransientResult(times_s=times, voltages={"wl": wl, "bl": bl})
-        delay = result.delay_between("wl", 0.35, "bl", 0.35)
-        assert delay is not None and delay > 0.0
-
     def test_unknown_node_raises(self):
         with pytest.raises(MeasurementError):
             ramp_result().voltage("nonexistent")

@@ -1,5 +1,5 @@
 """Regression tests for the transient-solver step-budget semantics and the
-Jacobian-template structure reuse.
+reuse of one topology record's structure across same-topology solves.
 
 The step-budget fixes guard two campaign-blocking bugs: a simulation that
 reaches ``t_stop`` (or its stop condition) exactly on the ``max_steps``-th
@@ -13,7 +13,13 @@ import pytest
 from repro.circuit.batch import TransientLaneSpec, batch_run_transients
 from repro.circuit.dc import ConvergenceError
 from repro.circuit.elements import Capacitor, Resistor, VoltageSource
-from repro.circuit.mna import CachedFactorSolver, JacobianTemplate, MNAAssembler
+from repro.circuit.mna import (
+    CachedFactorSolver,
+    JacobianTemplate,
+    MNAAssembler,
+    MNAError,
+    TopologyRecord,
+)
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientOptions, TransientSolver
 from repro.obs.metrics import registry
@@ -107,54 +113,50 @@ class TestStepBudget:
 
 
 class TestJacobianStructureReuse:
-    def test_same_topology_reuses_structure_and_matches_fresh_build(self):
-        base = MNAAssembler(rc_circuit(1e4, 1e-15))
-        donor = JacobianTemplate(base)
-        varied = MNAAssembler(rc_circuit(2.3e4, 1.7e-15))
-        reused = JacobianTemplate(varied, like=donor)
-        fresh = JacobianTemplate(varied)
-        assert reused.structure_reused
-        assert not fresh.structure_reused
-        np.testing.assert_array_equal(reused.indices, fresh.indices)
-        np.testing.assert_array_equal(reused.indptr, fresh.indptr)
-        np.testing.assert_array_equal(reused.g_data, fresh.g_data)
-        np.testing.assert_array_equal(reused.c_data, fresh.c_data)
-        np.testing.assert_array_equal(reused.nl_positions, fresh.nl_positions)
+    """Same-topology solves reuse one record's structure, with fresh-build bits."""
 
-    def test_mismatched_topology_falls_back_to_full_build(self):
-        donor = JacobianTemplate(MNAAssembler(rc_circuit()))
-        other = Circuit("bigger")
-        other.add(VoltageSource.dc("vin", "in", "0", 1.0))
-        other.add(Resistor("r1", "in", "mid", 1e4))
-        other.add(Resistor("r2", "mid", "out", 1e4))
-        other.add(Capacitor("c1", "out", "0", 1e-15))
-        template = JacobianTemplate(MNAAssembler(other), like=donor)
-        assert not template.structure_reused
-        reference = JacobianTemplate(MNAAssembler(other))
-        np.testing.assert_array_equal(template.indices, reference.indices)
-        np.testing.assert_array_equal(template.g_data, reference.g_data)
+    def test_same_topology_reuses_structure_and_matches_fresh_build(self):
+        record = TopologyRecord(rc_circuit(1e4, 1e-15))
+        donor = JacobianTemplate(record.bind(record.resistances, record.capacitances))
+        reused = JacobianTemplate(record.bind([2.3e4], [1.7e-15]))
+        fresh = JacobianTemplate(MNAAssembler(rc_circuit(2.3e4, 1.7e-15)))
+        assert reused.structure is donor.structure
+        assert fresh.structure is not reused.structure
+        for name in ("indices", "indptr", "g_data", "c_data", "nl_positions"):
+            assert_same_bits(getattr(reused, name), getattr(fresh, name))
+
+    def test_mismatched_topology_raises(self):
+        record = TopologyRecord(rc_circuit())
+        with pytest.raises(MNAError, match="resistors"):
+            record.bind([1e4, 1e4], [1e-15])        # one resistor more
+        with pytest.raises(MNAError, match="structure"):
+            record.bind([1e4], [0.0])               # a zero capacitor stamps nothing
 
     def test_transient_results_identical_with_donated_structure(self):
         options = TransientOptions(t_stop_s=2e-11, record_nodes=["out"])
-        donor_solver = TransientSolver(rc_circuit(1e4, 1e-15), options=options)
-        donor_solver.run()
-        varied = rc_circuit(3e4, 2e-15)
-        plain = TransientSolver(varied, options=options).run()
-        donated = TransientSolver(
-            varied,
-            options=options,
-            jacobian_like=donor_solver.solver_cache.template,
-        ).run()
-        np.testing.assert_array_equal(plain.times_s, donated.times_s)
-        np.testing.assert_array_equal(plain.voltages["out"], donated.voltages["out"])
+        record = TopologyRecord(rc_circuit(1e4, 1e-15))
+        donor = record.bind(record.resistances, record.capacitances)
+        TransientSolver(donor, options=options).run()
+        plain = TransientSolver(rc_circuit(3e4, 2e-15), options=options).run()
+        donated = TransientSolver(record.bind([3e4], [2e-15]), options=options).run()
+        assert_same_bits(plain.times_s, donated.times_s)
+        assert_same_bits(plain.voltages["out"], donated.voltages["out"])
 
     def test_cached_factor_solver_accepts_donor(self):
-        assembler_a = MNAAssembler(rc_circuit(1e4, 1e-15))
-        solver_a = CachedFactorSolver(assembler_a)
-        assembler_b = MNAAssembler(rc_circuit(5e4, 4e-15))
-        solver_b = CachedFactorSolver(assembler_b, like=solver_a.template)
-        assert solver_b.template.structure_reused
+        record = TopologyRecord(rc_circuit(1e4, 1e-15))
+        solver_a = CachedFactorSolver(record.bind(record.resistances, record.capacitances))
+        assembler_b = record.bind([5e4], [4e-15])
+        solver_b = CachedFactorSolver(assembler_b)
+        assert solver_b.template.structure is solver_a.template.structure
         stamp = assembler_b.nonlinear_stamp(np.zeros(assembler_b.size))
         rhs = np.ones(assembler_b.size)
-        expected = CachedFactorSolver(assembler_b).solve(1e13, stamp, rhs)
-        np.testing.assert_array_equal(solver_b.solve(1e13, stamp, rhs), expected)
+        fresh = MNAAssembler(rc_circuit(5e4, 4e-15))
+        expected = CachedFactorSolver(fresh).solve(1e13, stamp, rhs)
+        assert_same_bits(solver_b.solve(1e13, stamp, rhs), expected)
+
+
+def assert_same_bits(found: np.ndarray, expected: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: ±0.0 and NaN payloads count too."""
+    found, expected = np.asarray(found), np.asarray(expected)
+    assert found.dtype == expected.dtype and found.shape == expected.shape
+    assert found.tobytes() == expected.tobytes()
