@@ -112,6 +112,13 @@ class TestStepBudget:
         assert counters[("repro_solver_step_rejections_total", (("kind", kind),))] == 8
 
 
+def assert_same_bits(found: np.ndarray, expected: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: ±0.0 and NaN payloads count too."""
+    found, expected = np.asarray(found), np.asarray(expected)
+    assert found.dtype == expected.dtype and found.shape == expected.shape
+    assert found.tobytes() == expected.tobytes()
+
+
 class TestJacobianStructureReuse:
     """Same-topology solves reuse one record's structure, with fresh-build bits."""
 
@@ -153,10 +160,3 @@ class TestJacobianStructureReuse:
         fresh = MNAAssembler(rc_circuit(5e4, 4e-15))
         expected = CachedFactorSolver(fresh).solve(1e13, stamp, rhs)
         assert_same_bits(solver_b.solve(1e13, stamp, rhs), expected)
-
-
-def assert_same_bits(found: np.ndarray, expected: np.ndarray) -> None:
-    """Equal dtype, shape and bytes: ±0.0 and NaN payloads count too."""
-    found, expected = np.asarray(found), np.asarray(expected)
-    assert found.dtype == expected.dtype and found.shape == expected.shape
-    assert found.tobytes() == expected.tobytes()
