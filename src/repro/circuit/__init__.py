@@ -29,7 +29,6 @@ from .elements import (
 from .mna import (
     DEFAULT_GMIN_S,
     CachedFactorSolver,
-    JacobianTemplate,
     MNAAssembler,
     MNAError,
     NonlinearStamp,
@@ -58,7 +57,6 @@ __all__ = [
     "ElementError",
     "GROUND_NAMES",
     "CachedFactorSolver",
-    "JacobianTemplate",
     "MNAAssembler",
     "MNAError",
     "MOSFET",

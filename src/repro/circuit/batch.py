@@ -38,12 +38,15 @@ arrays, so a tick is a fixed set of whole-array operations: one
 solution-buffer gather, one kernel call, one ``bincount`` that yields the
 residuals and the Jacobian scatters together, and one stacked dense
 solve.  A lane that finishes its analysis is compacted out at the end of
-the tick.  Robustness state stays per lane: damping and step limiting
-are per-slot arrays, and the gmin variants a rescue needs bind the lane's
+the tick.  Robustness state stays per lane: Newton options, damping and
+step limiting are per-slot arrays, a slot takes each target's options
+(an escalated rescue scales the iteration budget of its ladder's
+targets), and the gmin variants a rescue needs bind the lane's
 :class:`~repro.circuit.mna.TopologyRecord` to the same element values at
-another gmin.  Lanes above the dense-solver size threshold (and lanes
-under an active rescue escalation) take the one-lane driver, counted in
-``SolverStats.scalar_fallbacks``.
+another gmin.  :func:`batch_dc_sweep` and :func:`batch_dc_operating_points`
+open every lane once — one binding per lane — and a lane above the
+dense-solver size threshold is solved by the one-lane driver on that
+binding, counted in ``SolverStats.scalar_fallbacks``.
 
 Transient lanes: the adaptive step controller makes time points
 lane-specific, so the driver gathers every lane's pending stamp request
@@ -86,7 +89,6 @@ from ..obs.convergence import (
     record_step_rejections,
 )
 from .dc import (
-    ConvergenceError,
     DCResult,
     DCSweepResult,
     NewtonOptions,
@@ -95,9 +97,11 @@ from .dc import (
     _AssemblerCache,
     _gen_dc_sweep,
     _gen_operating_point,
+    _solve_operating_point,
+    _solve_sweep,
+    _sweep_grid,
     dc_operating_point,
     dc_sweep,
-    rescue_level,
 )
 from .mna import BatchPlan, MNAAssembler, NonlinearStamp, solver_stats
 from .mosfet import DeviceParams, batch_operating_points
@@ -171,19 +175,12 @@ _FlatTables = Tuple[np.ndarray, DeviceParams, np.ndarray, np.ndarray, np.ndarray
 class _DCLane:
     """One generator-driven DC lane and its captured outcome."""
 
-    __slots__ = ("index", "gen", "base", "options", "outcome")
+    __slots__ = ("index", "gen", "base", "outcome")
 
-    def __init__(
-        self,
-        index: int,
-        gen: _DCGen,
-        base: MNAAssembler,
-        options: NewtonOptions,
-    ) -> None:
+    def __init__(self, index: int, gen: _DCGen, base: MNAAssembler) -> None:
         self.index = index
         self.gen = gen
         self.base = base
-        self.options = options
         self.outcome: Optional[LaneOutcome] = None
 
 
@@ -277,12 +274,12 @@ class _DCGroup:
         self.bin_pos = np.stack(
             [np.concatenate((p.res_pos, self.size + p.stamp_flat)) for p in plans]
         )
-        opts = [lane.options for lane in lanes]
-        self.abs_tol = np.array([o.abs_tolerance_a for o in opts])
-        self.rel_tol = np.array([o.rel_tolerance for o in opts])
-        self.damping0 = np.array([o.damping for o in opts])
-        self.vstep_limit = np.array([o.max_voltage_step_v for o in opts])
-        self.max_iter = np.array([o.max_iterations for o in opts], dtype=np.int64)
+        # Newton options per slot, installed from each lane's targets.
+        self.abs_tol = np.zeros(n)
+        self.rel_tol = np.zeros(n)
+        self.damping0 = np.zeros(n)
+        self.vstep_limit = np.zeros(n)
+        self.max_iter = np.zeros(n, dtype=np.int64)
 
         self.g_stack = np.zeros((n, self.size, self.size))
         self.x = np.zeros((n, self.size))
@@ -290,9 +287,11 @@ class _DCGroup:
         self.damping = self.damping0.copy()
         self.prev_res = np.full(n, np.nan)
         self.iter = np.zeros(n, dtype=np.int64)
-        #: The lane in each slot, and the assembler whose G that slot stacks.
+        #: The lane in each slot, the assembler whose G that slot stacks
+        #: and the Newton options it holds.
         self.slots: List[_DCLane] = list(lanes)
         self._stacked: List[Optional[MNAAssembler]] = [None] * n
+        self._options: List[Optional[NewtonOptions]] = [None] * n
         #: Slots whose lane finished during the current tick.
         self._finished: List[int] = []
         for slot in range(n):
@@ -318,14 +317,20 @@ class _DCGroup:
             lane.outcome = exc
             self._finished.append(slot)
             return
-        # Lockstep lanes run at escalation level 0 (the entry points demote
-        # rescued lanes), where every target carries the lane's options.
-        assembler, b, x0, _options = target
+        assembler, b, x0, options = target
         # Sweep continuation points reuse the lane's base assembler, whose
-        # G the slot already holds.
+        # G the slot already holds, and a lane's targets share one options
+        # object until a rescue escalation scales its iteration budget.
         if assembler is not self._stacked[slot]:
             self._stacked[slot] = assembler
             self.g_stack[slot] = assembler.dense_system().g_dense
+        if options is not self._options[slot]:
+            self._options[slot] = options
+            self.abs_tol[slot] = options.abs_tolerance_a
+            self.rel_tol[slot] = options.rel_tolerance
+            self.damping0[slot] = options.damping
+            self.vstep_limit[slot] = options.max_voltage_step_v
+            self.max_iter[slot] = options.max_iterations
         self.b[slot] = b
         self.x[slot] = x0
         self.damping[slot] = self.damping0[slot]
@@ -359,6 +364,7 @@ class _DCGroup:
                 setattr(self, name, getattr(self, name)[keep])
             self.slots = list(compress(self.slots, keep))
             self._stacked = list(compress(self._stacked, keep))
+            self._options = list(compress(self._options, keep))
             self._finished = []
         if self.slots:
             self._tables = self._flat_tables(slice(None))
@@ -556,60 +562,63 @@ def _run_dc_lockstep(lanes: List[_DCLane]) -> None:
                 record_convergence("batch_dc", 0, False, lane_group=label)
 
 
-def batch_dc_sweep(specs: Sequence[SweepLaneSpec]) -> List[LaneOutcome]:
-    """Run many :func:`~repro.circuit.dc.dc_sweep` calls in lockstep.
+#: An opened DC lane: its one-lane solver, its lane generator and their
+#: shared arguments, the lane's :class:`_AssemblerCache` first.
+_OpenedDCLane = Tuple[Callable[..., Any], Callable[..., _DCGen], Tuple[Any, ...]]
 
-    Returns one outcome per spec, in order: a
-    :class:`~repro.circuit.dc.DCSweepResult` bitwise identical to the
-    scalar call, or the exception the scalar call would have raised.
-    Lanes above the dense-solver threshold and every lane under an active
-    rescue escalation run the scalar path directly.
+
+def _batch_dc(
+    specs: Sequence[Any], open_lane: Callable[[Any], _OpenedDCLane]
+) -> List[LaneOutcome]:
+    """Open every lane once; run the dense ones in lockstep, the rest alone.
+
+    A lane above the dense-solver threshold is solved by the one-lane
+    driver on the binding it was opened with, counted in
+    ``SolverStats.scalar_fallbacks``.
     """
     outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
     lanes: List[_DCLane] = []
-    stats = solver_stats()
     for index, spec in enumerate(specs):
         try:
-            grid = np.asarray(list(spec.values), dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise ConvergenceError("a DC sweep needs at least one source value")
-            options = spec.options if spec.options is not None else NewtonOptions()
-            assembler = MNAAssembler(spec.circuit, gmin_s=spec.gmin_s)
-            assembler.branch_index(spec.source_name)
-            if rescue_level() or not assembler.use_dense_solver:
-                stats.scalar_fallbacks += 1
-                outcomes[index] = dc_sweep(
-                    spec.circuit,
-                    spec.source_name,
-                    spec.values,
-                    initial_voltages=spec.initial_voltages,
-                    options=spec.options,
-                    gmin_s=spec.gmin_s,
-                )
-                continue
-            cache = _AssemblerCache(assembler)
-            lanes.append(
-                _DCLane(
-                    index,
-                    _gen_dc_sweep(
-                        cache,
-                        spec.source_name,
-                        grid,
-                        spec.initial_voltages,
-                        options,
-                        spec.gmin_s,
-                        kind="batch_dc",
-                    ),
-                    assembler,
-                    options,
-                )
-            )
+            solve_alone, generator, args = open_lane(spec)
+            base = args[0].base
+            if base.use_dense_solver:
+                lanes.append(_DCLane(index, generator(*args, kind="batch_dc"), base))
+            else:
+                solver_stats().scalar_fallbacks += 1
+                outcomes[index] = solve_alone(*args)
         except Exception as exc:  # noqa: BLE001 - lane isolation by design
             outcomes[index] = exc
     _run_dc_lockstep(lanes)
     for lane in lanes:
         outcomes[lane.index] = lane.outcome
     return outcomes
+
+
+def _open_sweep(spec: SweepLaneSpec) -> _OpenedDCLane:
+    grid = _sweep_grid(spec.values)
+    cache = _AssemblerCache(MNAAssembler(spec.circuit, gmin_s=spec.gmin_s))
+    cache.base.branch_index(spec.source_name)
+    options = spec.options if spec.options is not None else NewtonOptions()
+    args = (cache, spec.source_name, grid, spec.initial_voltages, options, spec.gmin_s)
+    return _solve_sweep, _gen_dc_sweep, args
+
+
+def _open_operating_point(spec: OperatingPointLaneSpec) -> _OpenedDCLane:
+    cache = _AssemblerCache(MNAAssembler(spec.circuit, gmin_s=spec.gmin_s))
+    options = spec.options if spec.options is not None else NewtonOptions()
+    args = (cache, spec.initial_voltages, options, spec.gmin_s, spec.source_overrides)
+    return _solve_operating_point, _gen_operating_point, args
+
+
+def batch_dc_sweep(specs: Sequence[SweepLaneSpec]) -> List[LaneOutcome]:
+    """Run many :func:`~repro.circuit.dc.dc_sweep` calls in lockstep.
+
+    Returns one outcome per spec, in order: a
+    :class:`~repro.circuit.dc.DCSweepResult` bitwise identical to the
+    scalar call, or the exception the scalar call would have raised.
+    """
+    return _batch_dc(specs, _open_sweep)
 
 
 def batch_dc_operating_points(
@@ -622,45 +631,7 @@ def batch_dc_operating_points(
     shared lockstep tick; results and iteration counts match the scalar
     calls exactly.
     """
-    outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
-    lanes: List[_DCLane] = []
-    stats = solver_stats()
-    for index, spec in enumerate(specs):
-        try:
-            options = spec.options if spec.options is not None else NewtonOptions()
-            assembler = MNAAssembler(spec.circuit, gmin_s=spec.gmin_s)
-            if rescue_level() or not assembler.use_dense_solver:
-                stats.scalar_fallbacks += 1
-                outcomes[index] = dc_operating_point(
-                    spec.circuit,
-                    initial_voltages=spec.initial_voltages,
-                    options=spec.options,
-                    gmin_s=spec.gmin_s,
-                    source_overrides=spec.source_overrides,
-                )
-                continue
-            cache = _AssemblerCache(assembler)
-            lanes.append(
-                _DCLane(
-                    index,
-                    _gen_operating_point(
-                        cache,
-                        spec.initial_voltages,
-                        options,
-                        spec.gmin_s,
-                        spec.source_overrides,
-                        kind="batch_dc",
-                    ),
-                    assembler,
-                    options,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - lane isolation by design
-            outcomes[index] = exc
-    _run_dc_lockstep(lanes)
-    for lane in lanes:
-        outcomes[lane.index] = lane.outcome
-    return outcomes
+    return _batch_dc(specs, _open_operating_point)
 
 
 # -- transient lockstep driver ----------------------------------------------------------

@@ -31,6 +31,10 @@ answer every target with :func:`_newton_solve`; the lockstep engine of
 one vectorised Newton iteration per tick.  The servicers differ only in
 how they run the Newton iteration, so both tiers walk the same ladder,
 enter the same rungs and count the same iterations.
+
+Every lane assembles its circuit once: one :class:`_AssemblerCache` (the
+binding and the gmin variants its rescues bind from the same record)
+serves a sweep's first point, its continuation points and every rescue.
 """
 
 from __future__ import annotations
@@ -170,7 +174,6 @@ def _newton_solve(
     """
     dense = assembler.dense_system() if assembler.use_dense_solver else None
     solver = None if dense is not None else CachedFactorSolver(assembler)
-    g_matrix = None if dense is not None else assembler.conductance_matrix
     x = x0.copy()
     max_residual = float("inf")
     # Adaptive damping: a full Newton step can limit-cycle across the kinks
@@ -182,7 +185,7 @@ def _newton_solve(
     previous_residual: Optional[float] = None
     for iteration in range(1, options.max_iterations + 1):
         stamp = assembler.nonlinear_stamp(x)
-        g_dot_x = dense.g_dense @ x if dense is not None else g_matrix.dot(x)
+        g_dot_x = dense.g_dense @ x if dense is not None else assembler.g_dot(x)
         residual = g_dot_x + stamp.residual - b
         max_residual = float(np.max(np.abs(residual))) if residual.size else 0.0
         if max_residual < options.abs_tolerance_a:
@@ -217,7 +220,7 @@ def _newton_solve(
         # one extra iteration).
         if max_step * scale < options.rel_tolerance * max(1.0, float(np.max(np.abs(x[: assembler.n_nodes]), initial=0.0))):
             stamp = assembler.nonlinear_stamp(x)
-            g_dot_x = dense.g_dense @ x if dense is not None else g_matrix.dot(x)
+            g_dot_x = dense.g_dense @ x if dense is not None else assembler.g_dot(x)
             residual = g_dot_x + stamp.residual - b
             max_residual = float(np.max(np.abs(residual))) if residual.size else 0.0
             if max_residual < options.abs_tolerance_a * 10.0:
@@ -549,15 +552,28 @@ def dc_operating_point(
         Optional mapping of voltage-source names to DC values that replace
         the sources' own waveform values (used by :func:`dc_sweep`).
     """
+    return _solve_operating_point(
+        _AssemblerCache(MNAAssembler(circuit, gmin_s=gmin_s)),
+        initial_voltages,
+        options if options is not None else NewtonOptions(),
+        gmin_s,
+        source_overrides,
+    )
+
+
+def _solve_operating_point(
+    cache: _AssemblerCache,
+    initial_voltages: Optional[Dict[str, float]],
+    options: NewtonOptions,
+    gmin_s: float,
+    source_overrides: Optional[Mapping[str, float]],
+) -> DCResult:
+    """The one-lane operating point of ``cache``'s circuit, in a ``solver.dc`` span."""
     with span("solver.dc") as dc_span:
         try:
             result = _solve_lane(
                 _gen_operating_point(
-                    _AssemblerCache(MNAAssembler(circuit, gmin_s=gmin_s)),
-                    initial_voltages,
-                    options if options is not None else NewtonOptions(),
-                    gmin_s,
-                    source_overrides,
+                    cache, initial_voltages, options, gmin_s, source_overrides
                 )
             )
         except ConvergenceError:
@@ -748,32 +764,45 @@ def dc_sweep(
     options, gmin_s:
         Newton knobs shared with :func:`dc_operating_point`.
     """
+    grid = _sweep_grid(values)
+    return _solve_sweep(
+        _AssemblerCache(MNAAssembler(circuit, gmin_s=gmin_s)),
+        source_name,
+        grid,
+        initial_voltages,
+        options if options is not None else NewtonOptions(),
+        gmin_s,
+    )
+
+
+def _sweep_grid(values: Sequence[float]) -> np.ndarray:
+    """A sweep's source values as a float array (raises if there are none)."""
     grid = np.asarray(list(values), dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ConvergenceError("a DC sweep needs at least one source value")
-    chosen_options = options if options is not None else NewtonOptions()
+    return grid
 
+
+def _solve_sweep(
+    cache: _AssemblerCache,
+    source_name: str,
+    grid: np.ndarray,
+    initial_voltages: Optional[Dict[str, float]],
+    options: NewtonOptions,
+    gmin_s: float,
+) -> DCSweepResult:
+    """The one-lane sweep of ``cache``'s circuit, in a ``solver.dc_sweep`` span."""
     with span("solver.dc_sweep", points=int(grid.size)) as sweep_span:
-        assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-        assembler.branch_index(source_name)  # raises early for a bad source name
-        # The first point goes through dc_operating_point so it keeps its
-        # own solver.dc span and convergence observation.
-        first = dc_operating_point(
-            circuit,
-            initial_voltages=initial_voltages,
-            options=chosen_options,
-            gmin_s=gmin_s,
-            source_overrides={source_name: float(grid[0])},
+        cache.base.branch_index(source_name)  # raises early for a bad source name
+        # The first point is solved on its own so it keeps its own
+        # solver.dc span and convergence observation; it shares the
+        # sweep's assembler and gmin variants.
+        first = _solve_operating_point(
+            cache, initial_voltages, options, gmin_s, {source_name: float(grid[0])}
         )
         result = _solve_lane(
             _gen_dc_sweep(
-                _AssemblerCache(assembler),
-                source_name,
-                grid,
-                initial_voltages,
-                chosen_options,
-                gmin_s,
-                first=first,
+                cache, source_name, grid, initial_voltages, options, gmin_s, first=first
             )
         )
         sweep_span.annotate(iterations=result.iterations_total)

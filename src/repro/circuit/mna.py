@@ -8,22 +8,27 @@ currents]``.  Assembly comes in two halves:
   index, the element lists (names, waveforms, devices), the ``G`` and
   ``C`` triplet rows/cols with each entry's source element and ±1 sign,
   the gmin and voltage-source tails, the device :class:`BatchPlan` and the
-  Jacobian CSC structure (:class:`MatrixStructure`);
+  sparse layout (:class:`MatrixStructure`): the distinct ``G`` and ``C``
+  positions in CSR order, each triplet's slot among them and the
+  Jacobian CSC structure, derived from the record's own triplet
+  positions;
 * an :class:`MNAAssembler` is a record bound to one set of resistances,
   capacitances and gmin.  The binding computes the triplet values as
-  arrays in the per-element emission order and runs scipy's COO→CSR
-  conversion on them, so scipy sums duplicates over the same operands in
-  the same order and every matrix equals a per-element build bit for bit.
+  arrays in the per-element emission order and sums each position's
+  duplicates with one ``np.bincount`` per matrix over the record's slots —
+  the sums scipy's COO→CSR conversion makes, without building a matrix.
 
 ``MNAAssembler(circuit)`` is the record of ``circuit`` bound to its own
 values; the DC rescue ladder's gmin variants and the read and write
 columns solved at other corners (:meth:`TopologyRecord.bind`) take the
-same path and share one record.  A bound assembler produces ``G``
-(resistors, gmin, voltage-source incidence), ``C``, the source vector
-``b(t)`` and the per-Newton-iteration MOSFET stamps; its products ``G·x``
-and ``C·x`` are summed from the stored entries in scipy's matvec order
-(:func:`_entry_dot`), and :class:`CachedFactorSolver` factors
-``G + c_factor·C + J_nl`` on the record's fixed Jacobian structure.
+same path and share one record.  A bound assembler produces the values
+of ``G`` (resistors, gmin, voltage-source incidence) and ``C``, the
+source vector ``b(t)`` and the per-Newton-iteration MOSFET stamps; its
+products ``G·x`` and ``C·x`` are summed from the stored entries in
+scipy's matvec order (:func:`_bin_sum`), and :class:`CachedFactorSolver`
+factors ``G + c_factor·C + J_nl`` on the record's fixed Jacobian
+structure — the CSC it hands to ``splu`` is the only scipy matrix a
+solve builds.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .elements import (
     VoltageSource,
 )
 from .mosfet import MOSFET, DeviceParams
-from .netlist import Circuit, NetlistError, is_ground
+from .netlist import Circuit, is_ground
 
 #: Minimum conductance from every node to ground, for numerical robustness.
 DEFAULT_GMIN_S = 1e-12
@@ -201,9 +206,9 @@ class DenseSystem:
     batched tier applies per lane, which keeps the two tiers bit-identical.
 
     ``G`` is scattered straight from the binding's triplet arrays with
-    ``np.add.at`` (bitwise identical to ``csr.toarray()`` — scipy's
-    duplicate summation is insertion-ordered via a stable sort), so the
-    gmin variants of a rescue ladder never materialise a sparse matrix.
+    ``np.add.at``, which sums each position's duplicates in emission order
+    as the binding's :attr:`~MNAAssembler.g_values` do, so a dense system
+    needs no sparse layout.
     """
 
     def __init__(self, assembler: "MNAAssembler") -> None:
@@ -230,59 +235,66 @@ class DenseSystem:
         return np.linalg.solve(self.matrix(stamp_values), rhs)
 
 
-def _entry_dot(
-    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, x: np.ndarray, size: int
-) -> np.ndarray:
-    """``A·x`` from ``A``'s stored entries in storage order.
+def _bin_sum(bins: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndarray:
+    """Each bin's weights added one by one, from 0.0, in input order.
 
-    ``np.bincount`` adds each row's products one by one, from 0.0, in
-    entry order — over CSR or CSC order, the order in which scipy's matvec
-    loops accumulate a row — so this equals ``A.dot(x)`` bit for bit.
+    Over a matrix's triplets these are the sums of scipy's COO→CSR
+    conversion, which adds a position's duplicates left to right after
+    sorting the row (its sort keeps emission order for rows of up to 16
+    triplets; the MNA rows of the SRAM columns and cells hold at most
+    five).  Over the products of a matrix's stored entries, binned by row
+    in CSR or CSC order, they are scipy's matvec loops: ``A·x`` bit for bit.
     """
-    return np.bincount(rows, weights=data * x[cols], minlength=size).astype(
+    return np.bincount(bins, weights=weights, minlength=n_bins).astype(
         float, copy=False
     )
 
 
-def _entry_rows(indptr: np.ndarray) -> np.ndarray:
-    """The row (CSR) or column (CSC) of every stored entry."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+def _unique_positions(
+    major: np.ndarray, minor: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(major, minor)`` pairs, major-first, and each pair's slot.
+
+    Rows first gives CSR order, columns first CSC order; ``slots[k]`` is
+    the place of pair ``k`` among the distinct ones.
+    """
+    keys, slots = np.unique(major * size + minor, return_inverse=True)
+    return keys // size, keys % size, slots
 
 
 class MatrixStructure:
-    """The sparse structures every binding of one record shares.
+    """The sparse layout every binding of one record shares.
 
-    Derived from the first binding's canonical CSR ``G`` and ``C`` (once
-    per record and per presence of the gmin tail): the (row, col) of every
-    stored ``G`` and ``C`` entry, and the Jacobian CSC structure — the
-    union of the ``G``, ``C`` and device-stamp positions, column-major with
-    sorted rows — with each of those entries' position in it.
+    Derived from the record's own triplet positions, once per record and
+    per presence of the gmin tail: the distinct ``G`` and ``C`` positions
+    in CSR order (row-major, sorted columns) with each triplet's slot
+    among them, and the Jacobian CSC structure — the union of the ``G``,
+    ``C`` and device-stamp positions, column-major with sorted rows — with
+    the place of every ``G``/``C`` position and every stamp entry in it.
     """
 
-    def __init__(
-        self,
-        record: "TopologyRecord",
-        g_matrix: sparse.csr_matrix,
-        c_matrix: sparse.csr_matrix,
-    ) -> None:
+    def __init__(self, record: "TopologyRecord", with_gmin: bool) -> None:
         size = record.size
         plan = record.batch_plan()
-        self.g_rows, self.g_cols = _entry_rows(g_matrix.indptr), g_matrix.indices
-        self.c_rows, self.c_cols = _entry_rows(c_matrix.indptr), c_matrix.indices
-        rows = np.concatenate([self.g_rows, self.c_rows, plan.stamp_rows])
-        cols = np.concatenate([self.g_cols, self.c_cols, plan.stamp_cols])
-        keys = cols.astype(np.int64) * size + rows.astype(np.int64)
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        self.indices = (unique_keys % size).astype(np.int32)
-        self.indptr = np.searchsorted(
-            unique_keys // size, np.arange(size + 1)
-        ).astype(np.int32)
-        self.nnz = int(unique_keys.size)
-        self.jacobian_cols = _entry_rows(self.indptr)
+        self.g_rows, self.g_cols, self.g_slots = _unique_positions(
+            *record._g_index[with_gmin], size
+        )
+        self.c_rows, self.c_cols, self.c_slots = _unique_positions(
+            *record._c_index, size
+        )
+        cols, rows, positions = _unique_positions(
+            np.concatenate([self.g_cols, self.c_cols, plan.stamp_cols]),
+            np.concatenate([self.g_rows, self.c_rows, plan.stamp_rows]),
+            size,
+        )
+        self.indices = rows.astype(np.int32)
+        self.indptr = np.searchsorted(cols, np.arange(size + 1)).astype(np.int32)
+        self.nnz = int(rows.size)
+        self.jacobian_cols = cols
         n_g, n_c = self.g_rows.size, self.c_rows.size
-        self.g_positions = inverse[:n_g]
-        self.c_positions = inverse[n_g : n_g + n_c]
-        self.nl_positions = inverse[n_g + n_c :]
+        self.g_positions = positions[:n_g]
+        self.c_positions = positions[n_g : n_g + n_c]
+        self.nl_positions = positions[n_g + n_c :]
 
 
 class TopologyRecord:
@@ -291,10 +303,10 @@ class TopologyRecord:
     Built once per circuit structure: netlist validation, node order and
     index, element lists, the element values of the circuit, the ``G`` and
     ``C`` triplet rows/cols with each entry's source element and ±1 sign,
-    the gmin and voltage-source tails, the :class:`BatchPlan` and (from
-    the first binding) the :class:`MatrixStructure`.  :meth:`bind` pairs
-    it with element values.  A zero capacitor stamps nothing, so which
-    capacitors are zero is part of the structure.
+    the gmin and voltage-source tails, the :class:`BatchPlan` and (on
+    first use, per presence of the gmin tail) the :class:`MatrixStructure`.
+    :meth:`bind` pairs it with element values.  A zero capacitor stamps
+    nothing, so which capacitors are zero is part of the structure.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -491,10 +503,10 @@ class MNAAssembler:
     ``circuit`` bound to the circuit's own values.  A binding computes the
     triplet values as arrays in the per-element emission order — a
     resistor's entries are ``(1.0 / R)·(+1, +1, −1, −1)`` and the multiply
-    by ±1.0 is an exact negation — and scipy's COO→CSR conversion then
-    sums duplicates over the same operands in the same order, so every
-    matrix equals a per-element build bit for bit.  A gmin variant (the
-    DC rescue ladder) and another corner of one column
+    by ±1.0 is an exact negation — and sums each matrix position's
+    triplets with one ``np.bincount`` per matrix over the record's slots
+    (:attr:`g_values`, :attr:`c_values`, in CSR order).  A gmin variant
+    (the DC rescue ladder) and another corner of one column
     (:meth:`TopologyRecord.bind`) take the same path, :meth:`_bind`.
 
     Parameters
@@ -553,40 +565,34 @@ class MNAAssembler:
 
     # -- static matrices -------------------------------------------------------------
 
-    @cached_property
-    def conductance_matrix(self) -> sparse.csr_matrix:
-        rows, cols, values = self._g_triplets
-        return sparse.csr_matrix((values, (rows, cols)), shape=(self.size, self.size))
-
-    @cached_property
-    def capacitance_matrix(self) -> sparse.csr_matrix:
-        rows, cols, values = self._c_triplets
-        return sparse.csr_matrix((values, (rows, cols)), shape=(self.size, self.size))
-
     def structure(self) -> MatrixStructure:
-        """The sparse structures this binding shares with its record."""
-        with_gmin = self.gmin_s > 0.0
-        structure = self.record._structures.get(with_gmin)
-        if structure is None:
-            structure = MatrixStructure(
-                self.record, self.conductance_matrix, self.capacitance_matrix
-            )
-            self.record._structures[with_gmin] = structure
-        return structure
+        """The sparse layout of the record's bindings with this one's gmin tail."""
+        with_gmin, structures = self.gmin_s > 0.0, self.record._structures
+        if with_gmin not in structures:
+            structures[with_gmin] = MatrixStructure(self.record, with_gmin)
+        return structures[with_gmin]
+
+    @cached_property
+    def g_values(self) -> np.ndarray:
+        """``G``'s stored values, at the structure's ``g_rows``/``g_cols``."""
+        structure = self.structure()
+        return _bin_sum(structure.g_slots, self._g_triplets[2], structure.g_rows.size)
+
+    @cached_property
+    def c_values(self) -> np.ndarray:
+        """``C``'s stored values, at the structure's ``c_rows``/``c_cols``."""
+        structure = self.structure()
+        return _bin_sum(structure.c_slots, self._c_triplets[2], structure.c_rows.size)
 
     def g_dot(self, x: np.ndarray) -> np.ndarray:
-        """``G·x``, bitwise equal to ``conductance_matrix.dot(x)``."""
+        """``G·x``, summed per row in scipy's CSR matvec order."""
         structure = self.structure()
-        return _entry_dot(
-            structure.g_rows, structure.g_cols, self.conductance_matrix.data, x, self.size
-        )
+        return _bin_sum(structure.g_rows, self.g_values * x[structure.g_cols], self.size)
 
     def c_dot(self, x: np.ndarray) -> np.ndarray:
-        """``C·x``, bitwise equal to ``capacitance_matrix.dot(x)``."""
+        """``C·x``, summed per row in scipy's CSR matvec order."""
         structure = self.structure()
-        return _entry_dot(
-            structure.c_rows, structure.c_cols, self.capacitance_matrix.data, x, self.size
-        )
+        return _bin_sum(structure.c_rows, self.c_values * x[structure.c_cols], self.size)
 
     # -- sources -----------------------------------------------------------------------
 
@@ -680,67 +686,24 @@ class MNAAssembler:
         return solution
 
 
-class JacobianTemplate:
-    """One binding's ``G`` and ``C`` on its record's fixed Jacobian structure.
-
-    The structure (:class:`MatrixStructure`) is a valid CSC pattern that
-    never changes and is shared by every binding of a record.  A template
-    only scatters its binding's ``G`` and ``C`` values into
-    structure-aligned data arrays, and the per-iteration stamp values are
-    injected through the structure's position map, so assembling
-    ``G + C/dt + J_nl`` costs one vector add instead of two sparse-matrix
-    additions and a CSR→CSC conversion.
-    """
-
-    def __init__(self, assembler: MNAAssembler) -> None:
-        self.structure = structure = assembler.structure()
-        self.size = assembler.size
-        self.indices = structure.indices
-        self.indptr = structure.indptr
-        self.nnz = structure.nnz
-        #: Template position of each stamp triplet, in emission order.
-        self.nl_positions = structure.nl_positions
-        self.g_data = np.zeros(self.nnz)
-        np.add.at(self.g_data, structure.g_positions, assembler.conductance_matrix.data)
-        self.c_data = np.zeros(self.nnz)
-        np.add.at(self.c_data, structure.c_positions, assembler.capacitance_matrix.data)
-
-    def matrix(self, data: np.ndarray) -> sparse.csc_matrix:
-        """Wrap a template-aligned data vector as a CSC matrix (no copy)."""
-        return sparse.csc_matrix(
-            (data, self.indices, self.indptr), shape=(self.size, self.size)
-        )
-
-    def dot(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``matrix(data)·x``, bit for bit, without building the matrix."""
-        structure = self.structure
-        return _entry_dot(
-            structure.indices, structure.jacobian_cols, data, x, self.size
-        )
-
-    def static_data(self, c_factor: float = 0.0) -> np.ndarray:
-        """Data vector of ``G + c_factor·C`` (``c_factor`` is 1/dt, 2/dt or 0)."""
-        if c_factor == 0.0:
-            return self.g_data.copy()
-        return self.g_data + c_factor * self.c_data
-
-
 class CachedFactorSolver:
     """Sparse-LU reuse across Newton iterations and time steps.
 
-    Keyed by the capacitance scale ``c_factor`` (0 for DC, ``1/dt`` for
-    backward Euler, ``2/dt`` for trapezoidal): the static data of
+    The solver holds its binding's ``G`` and ``C`` values at their places
+    in the record's fixed Jacobian CSC structure, so assembling
+    ``G + c_factor·C + J_nl`` is one vector add and one scatter of the
+    stamp values.  Keyed by the capacitance scale ``c_factor`` (0 for DC,
+    ``1/dt`` for backward Euler, ``2/dt`` for trapezoidal): the data of
     ``G + c_factor·C`` and — while the nonlinear stamp values are
     unchanged — its :func:`~scipy.sparse.linalg.splu` factorisation are
-    cached, so a linear circuit refactorises only when ``dt`` changes and
-    a nonlinear one skips all matrix assembly overhead.
+    cached, so a linear circuit refactorises only when ``dt`` changes.
 
     Every factorisation refills one CSC matrix per solver in place and
     hands it to :func:`~scipy.sparse.linalg.splu`, which copies what it
     factors: the structure checks scipy runs on a new matrix (format,
     index dtype, canonical order) are paid once per solver, not once per
-    factorisation.  That matrix is the only scipy matrix a time step
-    touches; the step's products go through :meth:`JacobianTemplate.dot`.
+    factorisation.  That matrix is the only scipy matrix a solver builds;
+    products with the Jacobian go through :meth:`dot`.
     """
 
     #: Distinct c_factor entries kept before the cache is reset (the
@@ -748,24 +711,37 @@ class CachedFactorSolver:
     MAX_CACHE = 32
 
     def __init__(self, assembler: MNAAssembler) -> None:
-        self.assembler = assembler
-        self.template = JacobianTemplate(assembler)
+        self.structure = structure = assembler.structure()
+        self.size = size = assembler.size
+        self.g_data = np.zeros(structure.nnz)
+        self.g_data[structure.g_positions] = assembler.g_values
+        self.c_data = np.zeros(structure.nnz)
+        self.c_data[structure.c_positions] = assembler.c_values
         self._static: Dict[float, np.ndarray] = {}
         self._lu: Dict[float, Tuple[Optional[np.ndarray], object]] = {}
-        self._jacobian = self.template.matrix(np.zeros(self.template.nnz))
-        self.n_factorizations = 0
-        self.n_solves = 0
+        self._jacobian = sparse.csc_matrix(
+            (np.zeros(structure.nnz), structure.indices, structure.indptr),
+            shape=(size, size),
+        )
 
     def static_data(self, c_factor: float) -> np.ndarray:
-        """Template data of ``G + c_factor·C`` (cached per factor)."""
+        """Structure-aligned data of ``G + c_factor·C`` (cached per factor)."""
         data = self._static.get(c_factor)
         if data is None:
             if len(self._static) >= self.MAX_CACHE:
                 self._static.clear()
                 self._lu.clear()
-            data = self.template.static_data(c_factor)
+            if c_factor == 0.0:
+                data = self.g_data.copy()
+            else:
+                data = self.g_data + c_factor * self.c_data
             self._static[c_factor] = data
         return data
+
+    def dot(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``J·x`` for structure-aligned ``data``, in scipy's CSC matvec order."""
+        structure = self.structure
+        return _bin_sum(structure.indices, data * x[structure.jacobian_cols], self.size)
 
     def solve(
         self, c_factor: float, stamp: NonlinearStamp, rhs: np.ndarray
@@ -789,18 +765,16 @@ class CachedFactorSolver:
                 cached_values, values
             ):
                 lu = cached_lu
+        stats = solver_stats()
         if lu is None:
             data = self._jacobian.data
             np.copyto(data, static_data)
             if values.size:
-                np.add.at(data, self.template.nl_positions, values)
+                np.add.at(data, self.structure.nl_positions, values)
             lu = splu(self._jacobian)
-            self.n_factorizations += 1
-            stats = solver_stats()
             stats.factorizations += 1
             if cached is not None:
                 stats.refactorizations += 1
             self._lu[c_factor] = (values.copy() if values.size else None, lu)
-        self.n_solves += 1
-        solver_stats().sparse_solves += 1
+        stats.sparse_solves += 1
         return lu.solve(rhs)

@@ -26,21 +26,22 @@ The linear solves stay on each lane's own
 
 A solver runs on a circuit's own assembler or on a
 :class:`~repro.circuit.mna.TopologyRecord` bound to one corner's values.
-A step builds no scipy matrix except the CSC its solver hands to
+A lane builds no scipy matrix except the CSC its solver hands to
 ``splu``: ``C·x_prev``, ``(G + c_factor·C)·x`` and the trapezoidal
 ``G·x_prev`` are summed from the record's index arrays with
-``np.bincount``, in scipy's matvec order, so the bits do not change.
+``np.bincount``, in scipy's matvec order.
 
 Recording costs no per-node work per step: the recorded nodes' indices
 are resolved once per lane (a node named twice is recorded once), every
 accepted solution vector is kept, and the waveforms are gathered from
-them once when the lane ends.  A stop condition still sees a plain
-``{node: volts}`` dict of every recorded node, built by one gather per
-accepted step and only when a stop condition is set.
+them once when the lane ends.  A stop condition sees a read-only
+``{node: volts}`` mapping over the accepted solution
+(:class:`_StepVoltages`), which converts only the nodes it reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
@@ -53,8 +54,30 @@ from .mna import CachedFactorSolver, MNAAssembler, NonlinearStamp
 from .netlist import Circuit
 from .waveform import TransientResult
 
-#: Signature of an early-stop predicate: (time_s, node-voltage dict) → bool.
-StopCondition = Callable[[float, Dict[str, float]], bool]
+#: Signature of an early-stop predicate: (time_s, node voltages) → bool.
+StopCondition = Callable[[float, Mapping[str, float]], bool]
+
+
+class _StepVoltages(Mapping):
+    """Read-only voltages of the recorded nodes in one accepted solution.
+
+    ``index`` maps each recorded node to its place in ``x``; ground maps
+    past the end of ``x`` and reads 0.0.  A node that is not recorded
+    raises :class:`KeyError`, as a missing dict key does.
+    """
+
+    def __init__(self, index: Dict[str, int], x: np.ndarray) -> None:
+        self._index, self._x = index, x
+
+    def __getitem__(self, node: str) -> float:
+        position = self._index[node]
+        return float(self._x[position]) if position < self._x.size else 0.0
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass
@@ -163,7 +186,6 @@ def _transient_lane(
     assembler = solver.assembler
     newton = options.newton
     cache = solver.solver_cache
-    template = cache.template
 
     x = assembler.initial_solution(initial_voltages)
     # Each recorded node once, in first-mention order; its index resolves
@@ -182,7 +204,7 @@ def _transient_lane(
             ],
             dtype=np.int64,
         )
-    x_ext = np.zeros(assembler.size + 1)
+    stop_index = dict(zip(record_nodes, record_index.tolist()))
 
     times: List[float] = [0.0]
     # Accepted solution vectors; the waveforms are gathered once at the end.
@@ -245,7 +267,7 @@ def _transient_lane(
         for _iteration in range(newton.max_iterations):
             stamp = yield x_iter
             residual = (
-                template.dot(static_data, x_iter) + stamp.residual - rhs_const
+                cache.dot(static_data, x_iter) + stamp.residual - rhs_const
             )
             max_residual = (
                 float(np.max(np.abs(residual))) if residual.size else 0.0
@@ -273,7 +295,7 @@ def _transient_lane(
             # Budget exhausted: one last residual check with the final iterate.
             stamp = yield x_iter
             residual = (
-                template.dot(static_data, x_iter) + stamp.residual - rhs_const
+                cache.dot(static_data, x_iter) + stamp.residual - rhs_const
             )
             if float(np.max(np.abs(residual))) < newton.abs_tolerance_a * 100.0:
                 solution = x_iter
@@ -300,9 +322,7 @@ def _transient_lane(
         states.append(x)
 
         if stop_condition is not None:
-            x_ext[:-1] = x
-            voltages_now = dict(zip(record_nodes, x_ext[record_index].tolist()))
-            if stop_condition(time_s, voltages_now):
+            if stop_condition(time_s, _StepVoltages(stop_index, x)):
                 stop_reason = "stop-condition"
                 break
 

@@ -14,7 +14,7 @@ provides that firing criterion in two forms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Mapping, Optional
 
 from ..circuit.transient import StopCondition
 from ..circuit.waveform import TransientResult
@@ -48,11 +48,11 @@ class SenseAmplifier:
         if self.bitline_node == self.bitline_bar_node:
             raise SenseAmpError("the two sense inputs must be different nodes")
 
-    def differential_v(self, voltages: Dict[str, float]) -> float:
+    def differential_v(self, voltages: Mapping[str, float]) -> float:
         """Differential input from a node-voltage dictionary."""
         return abs(voltages[self.bitline_node] - voltages[self.bitline_bar_node])
 
-    def fires(self, voltages: Dict[str, float]) -> bool:
+    def fires(self, voltages: Mapping[str, float]) -> bool:
         """Whether the amplifier would fire at these node voltages."""
         return self.differential_v(voltages) >= self.sensitivity_v
 
@@ -67,7 +67,7 @@ class SenseAmplifier:
             raise SenseAmpError("the stop margin must be at least 1.0")
         target = self.sensitivity_v * margin
 
-        def _should_stop(_time_s: float, voltages: Dict[str, float]) -> bool:
+        def _should_stop(_time_s: float, voltages: Mapping[str, float]) -> bool:
             return self.differential_v(voltages) >= target
 
         return _should_stop

@@ -26,7 +26,7 @@ further column to that circuit's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -315,7 +315,7 @@ class WritePathSimulator:
         sign = 1.0 if write_value == 0 else -1.0
         target = 0.8 * vdd
 
-        def flip_complete(_time_s: float, voltages: Dict[str, float]) -> bool:
+        def flip_complete(_time_s: float, voltages: Mapping[str, float]) -> bool:
             return sign * (voltages[qb] - voltages[q]) >= target
 
         lane = TransientLaneSpec(

@@ -7,7 +7,10 @@ tests that use them, and sharing them keeps the full suite fast.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import pytest
+from scipy import sparse
 
 from repro.core.analytical import model_from_technology
 from repro.core.operations import OperationSimulators
@@ -16,6 +19,20 @@ from repro.layout.array import generate_array_layout
 from repro.layout.sram_cell import generate_cell_layout
 from repro.patterning import euv, le3, sadp
 from repro.technology.node import n10
+
+def scipy_matrices(assembler) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """``G`` and ``C`` of a binding, built by scipy from its triplets.
+
+    The reference for the binding's own sums: scipy's COO→CSR conversion
+    adds each position's duplicates.
+    """
+    shape = (assembler.size, assembler.size)
+    g_matrix, c_matrix = (
+        sparse.csr_matrix((values, (rows, cols)), shape=shape)
+        for rows, cols, values in (assembler._g_triplets, assembler._c_triplets)
+    )
+    return g_matrix, c_matrix
+
 
 #: Worst-case corner parameter sets used across tests (Table I corners).
 LE3_WORST_CORNER = {"cd:A": 3.0, "cd:B": 3.0, "cd:C": 3.0, "ol:B": -8.0, "ol:C": 8.0}

@@ -25,6 +25,7 @@ from repro.circuit.mosfet import MOSFET
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientOptions, TransientSolver, run_transient
 from repro.technology.transistors import default_n10_nmos, default_n10_pmos
+from tests.conftest import scipy_matrices
 
 
 def divider_circuit(r1=1000.0, r2=3000.0, vin=1.0):
@@ -68,8 +69,7 @@ class TestMNAAssembler:
         circuit.add(Resistor("r1", "a", "b", 100.0))
         circuit.add(Resistor("r2", "b", "0", 100.0))
         circuit.add(CurrentSource.dc("i", "a", "0", 1e-3))
-        assembler = MNAAssembler(circuit)
-        g = assembler.conductance_matrix.toarray()
+        g = scipy_matrices(MNAAssembler(circuit))[0].toarray()
         assert np.allclose(g, g.T)
 
     def test_source_vector_tracks_waveform(self):

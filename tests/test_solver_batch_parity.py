@@ -129,13 +129,18 @@ class TestSweepLaneParity:
         for lane, outcome in zip(lanes, batched):
             _assert_sweep_equal(outcome, run_lane_scalar(lane))
 
-    def test_active_rescue_context_falls_back_to_scalar(self, sims):
+    def test_active_rescue_context_runs_lockstep(self, sims):
+        # Under an escalation each lane's ladder targets carry the scaled
+        # iteration budget and its continuation points the caller's
+        # options; the lockstep slots take each target's options.
         lanes = _butterfly_lanes(sims, 3)
         reset_solver_stats()
         with solver_rescue(2, seed=7):
             batched = batch_dc_sweep(lanes)
+            stats = solver_stats().snapshot()
             scalars = [run_lane_scalar(lane) for lane in lanes]
-        assert solver_stats().scalar_fallbacks >= len(lanes)
+        assert stats.scalar_fallbacks == 0
+        assert stats.batch_lanes == len(lanes)
         for outcome, scalar in zip(batched, scalars):
             _assert_sweep_equal(outcome, scalar)
 
@@ -224,7 +229,7 @@ class TestPreparedMeasurementParity:
     @pytest.mark.parametrize("operation", OPERATIONS)
     def test_prepared_batch_matches_scalar_run(self, node, operation):
         # Two independent simulator bundles so neither tier sees the
-        # other's memo caches or donated Jacobian templates.
+        # other's memo caches or column records.
         scalar_sims = OperationSimulators(node, n_bitline_pairs=4)
         batched_sims = OperationSimulators(node, n_bitline_pairs=4)
 

@@ -15,7 +15,6 @@ from repro.circuit.dc import ConvergenceError
 from repro.circuit.elements import Capacitor, Resistor, VoltageSource
 from repro.circuit.mna import (
     CachedFactorSolver,
-    JacobianTemplate,
     MNAAssembler,
     MNAError,
     TopologyRecord,
@@ -124,12 +123,16 @@ class TestJacobianStructureReuse:
 
     def test_same_topology_reuses_structure_and_matches_fresh_build(self):
         record = TopologyRecord(rc_circuit(1e4, 1e-15))
-        donor = JacobianTemplate(record.bind(record.resistances, record.capacitances))
-        reused = JacobianTemplate(record.bind([2.3e4], [1.7e-15]))
-        fresh = JacobianTemplate(MNAAssembler(rc_circuit(2.3e4, 1.7e-15)))
+        donor = CachedFactorSolver(record.bind(record.resistances, record.capacitances))
+        reused = CachedFactorSolver(record.bind([2.3e4], [1.7e-15]))
+        fresh = CachedFactorSolver(MNAAssembler(rc_circuit(2.3e4, 1.7e-15)))
         assert reused.structure is donor.structure
         assert fresh.structure is not reused.structure
-        for name in ("indices", "indptr", "g_data", "c_data", "nl_positions"):
+        for name in ("indices", "indptr", "nl_positions"):
+            assert_same_bits(
+                getattr(reused.structure, name), getattr(fresh.structure, name)
+            )
+        for name in ("g_data", "c_data"):
             assert_same_bits(getattr(reused, name), getattr(fresh, name))
 
     def test_mismatched_topology_raises(self):
@@ -154,9 +157,30 @@ class TestJacobianStructureReuse:
         solver_a = CachedFactorSolver(record.bind(record.resistances, record.capacitances))
         assembler_b = record.bind([5e4], [4e-15])
         solver_b = CachedFactorSolver(assembler_b)
-        assert solver_b.template.structure is solver_a.template.structure
+        assert solver_b.structure is solver_a.structure
         stamp = assembler_b.nonlinear_stamp(np.zeros(assembler_b.size))
         rhs = np.ones(assembler_b.size)
         fresh = MNAAssembler(rc_circuit(5e4, 4e-15))
         expected = CachedFactorSolver(fresh).solve(1e13, stamp, rhs)
         assert_same_bits(solver_b.solve(1e13, stamp, rhs), expected)
+
+
+class TestStopConditionView:
+    def test_predicate_reads_recorded_floats_and_ground(self):
+        options = TransientOptions(t_stop_s=2e-11, record_nodes=["out", "0", "in"])
+        seen = []
+
+        def predicate(time_s, voltages):
+            seen.append((dict(voltages), voltages["out"]))
+            with pytest.raises(KeyError):
+                voltages["no-such-node"]
+            return False
+
+        result = TransientSolver(rc_circuit(), options=options).run(stop_condition=predicate)
+        assert len(seen) == len(result.times_s) - 1
+        for step, (voltages, out) in enumerate(seen, start=1):
+            assert list(voltages) == ["out", "0", "in"]
+            assert type(out) is float and out == voltages["out"]
+            assert voltages["0"] == 0.0
+            for node in ("out", "in"):
+                assert voltages[node] == result.voltages[node][step].item()
